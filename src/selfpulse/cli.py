@@ -5,12 +5,17 @@ directory; `selfpulse replay <manifest>` re-executes the recorded
 invocation and reproduces the outputs byte-identically (stochastic
 commands included, via the recorded seed).
 
+Each option is one row of ``_OPTIONS``: the argument parser, the
+resolution of flag text > config entry > default, and the manifest's
+replay argv are all built from that table.
+
 Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -18,12 +23,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import center_manifold as cm
 from . import noise, semiclassics, stochastic
+from .csvio import write_csv
 from .errors import DomainError, SelfPulseError
 from .model import SystemParams, rescale_to_unit_chi
 from .svg import Curve, gnuplot_script, render_svg
@@ -44,16 +51,6 @@ def _echo(doc: dict, fmt: str) -> None:
             print(f"{key},{val}")
     else:
         print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
-
-
-def _env_rel_tol() -> float:
-    raw = os.environ.get("SELFPULSE_DEFAULT_TOL")
-    if raw is None:
-        return DEFAULT_REL_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise DomainError(f"SELFPULSE_DEFAULT_TOL={raw!r} is not a number") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +76,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_manifest(out: Path, command: str, params: dict, seed: int,
-                    argv: list, outputs: list, wall: float) -> Path:
+                    argv: list, outputs: list, wall: float) -> None:
     name = command.replace("-", "_") + "_manifest.json"
     _write_json(out / name, {
         "command": command,
@@ -90,22 +87,6 @@ def _write_manifest(out: Path, command: str, params: dict, seed: int,
         "outputs": outputs,
         "wall_time_s": wall,
     })
-    return out / name
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _resolve(cli_value, config: dict, key: str, default):
-    """Precedence: CLI flag > config-file entry > built-in default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _load_config(path) -> dict:
@@ -115,6 +96,8 @@ def _load_config(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DomainError("--config must contain a JSON object")
+    if not isinstance(doc.get("out", ""), str):
+        raise DomainError("config key 'out' must be a directory name")
     return doc
 
 
@@ -123,36 +106,6 @@ def _pmap(fn, items, jobs: int):
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))
     return [fn(it) for it in items]
-
-
-def _parse_floats(text: str, flag: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_pairs(text: str, flag: str) -> list:
-    pairs = []
-    for chunk in text.split(";"):
-        if chunk.strip() == "":
-            continue
-        vals = _parse_floats(chunk, flag)
-        if len(vals) != 2:
-            raise DomainError(f"{flag} expects 'a,b;c,d;...' pairs, got {text!r}")
-        pairs.append((vals[0], vals[1]))
-    return pairs
-
-
-def _parse_grid(text: str, flag: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"{flag} expects min:max:count, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
-    if count < 1:
-        raise DomainError(f"{flag} grid is empty (count={count})")
-    return np.linspace(lo, hi, count)
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +236,6 @@ def _run_limit_cycle(p: dict, out: Path) -> list:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _parse_elements(text: str) -> list:
-    pairs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "":
-            continue
-        if len(tok) != 2 or not tok.isdigit():
-            raise DomainError(f"--elements expects two-digit labels like '33', got {tok!r}")
-        i, j = int(tok[0]) - 1, int(tok[1]) - 1
-        if not (0 <= i < 4 and 0 <= j < 4):
-            raise DomainError(f"element {tok} out of range 11..44")
-        pairs.append((i, j))
-    return pairs
-
-
 def _peak_or_note(result, i: int, j: int) -> dict:
     try:
         pk = noise.spectral_peak(result, i, j)
@@ -407,8 +345,6 @@ def _figure1_panel(task):
 
 
 def _run_figure1(p: dict, out: Path) -> list:
-    if not p["fracs"]:
-        raise DomainError("--delta-eps-fracs must be non-empty")
     tasks = [(k, g, tuple(p["fracs"]), p["t_periods"], p["rel_tol"])
              for k, g in p["pairs"]]
     panels = _pmap(_figure1_panel, tasks, p["jobs"])
@@ -420,8 +356,10 @@ def _run_figure1(p: dict, out: Path) -> list:
         for q, item in enumerate(panel):
             num_name = f"figure1_panel{idx}_deps{q}_numerical.csv"
             pred_name = f"figure1_panel{idx}_deps{q}_predicted.csv"
-            _orbit_csv(out / num_name, item["times"], item["numerical"])
-            _orbit_csv(out / pred_name, np.arange(len(item["predicted"])), item["predicted"])
+            write_csv(out / num_name, semiclassics.TRAJECTORY_HEADER,
+                      np.column_stack([item["times"], item["numerical"]]))
+            write_csv(out / pred_name, semiclassics.TRAJECTORY_HEADER,
+                      np.column_stack([np.arange(len(item["predicted"])), item["predicted"]]))
             outputs += [num_name, pred_name]
             label = f"deps={item['delta_eps']:.4g}"
             curves.append(Curve(x=item["numerical"][:, 0], y=item["numerical"][:, 2],
@@ -459,13 +397,6 @@ def _run_figure1(p: dict, out: Path) -> list:
     outputs.append("figure1_summary.json")
     print(f"wrote {len(outputs)} files for {len(p['pairs'])} panels")
     return outputs
-
-
-def _orbit_csv(path: Path, times, states) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,beta_r,beta_i,alpha_r,alpha_i\n")
-        for t, row in zip(times, states):
-            fh.write(",".join(format(v, ".17g") for v in (t, *row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -546,298 +477,225 @@ def _run_sweep(p: dict, out: Path) -> list:
              for k in p["kappa_grid"] for g in p["gamma_grid"]]
     rows = _pmap(_sweep_point, tasks, p["jobs"])
     header = ["kappa", "gamma"] + list(p["quantities"])
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(row[h], ".17g") for h in header) + "\n")
+    write_csv(out / "sweep.csv", header, ([row[h] for h in header] for row in rows))
     print(f"wrote sweep.csv ({len(rows)} rows)")
     return ["sweep.csv"]
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# options
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None, help="JSON file with default values")
-    sp.add_argument("--out", default=None, help="output directory (default selfpulse_out)")
-    sp.add_argument("--seed", type=int, default=None, help="64-bit PRNG seed")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="accepted for compatibility; commands emit their native formats")
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _complex(text: str) -> complex:
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _floats(text: str) -> list:
+    return [_float(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _pairs(text: str) -> list:
+    pairs = [tuple(_floats(chunk)) for chunk in text.split(";") if chunk.strip() != ""]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("every pair needs two numbers")
+    return pairs
+
+
+def _grid(text: str) -> list:
+    lo, hi, count = text.split(":")
+    if int(count) < 1:
+        raise ValueError("the grid is empty")
+    return [float(v) for v in np.linspace(_float(lo), _float(hi), int(count))]
+
+
+def _names(text: str) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+
+
+def _elements(text: str) -> list:
+    labels = _names(text)
+    if any(len(tok) != 2 or not set(tok) <= set("1234") for tok in labels):
+        raise ValueError("labels are two digits from 1 to 4")
+    return [(int(tok[0]) - 1, int(tok[1]) - 1) for tok in labels]
+
+
+def _switch(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+class _Option(NamedTuple):
+    """One row of the option table: a flag shared by one or more commands.
+
+    ``default`` is a value, or a function of the options resolved before
+    it; None makes the option required.  ``check`` is a range check on the
+    parsed value and ``message`` says what it demands.  ``key`` names the
+    parameter where it differs from the config key.
+    """
+
+    commands: str
+    flag: str
+    parse: Callable[[str], object]
+    default: object = None
+    check: Callable[[object], bool] = None
+    message: str = ""
+    key: str = None
+    help: str = None
+
+    @property
+    def name(self) -> str:
+        """Config key and argparse destination."""
+        return self.flag[2:].replace("-", "_")
+
+
+_COMMANDS = {
+    "fixed-point": (_run_fixed_point, "critical point and stability"),
+    "simulate": (_run_simulate, "integrate the semiclassical equations"),
+    "hopf": (_run_hopf, "threshold, frequency and reduction report"),
+    "limit-cycle": (_run_limit_cycle, "measure the settled cycle above threshold"),
+    "spectrum": (_run_spectrum, "linearized noise spectrum below threshold"),
+    "phase-diffusion": (_run_phase_diffusion, "Monte-Carlo phase diffusion on the cycle"),
+    "figure1": (_run_figure1, "limit cycles vs predictions, four panels"),
+    "figure2": (_run_figure2, "|S33| curves approaching threshold"),
+    "sweep": (_run_sweep, "closed-form quantities over a (kappa, gamma) grid"),
+}
+
+_ALL = " ".join(_COMMANDS)
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_NON_EMPTY = (bool, "must be non-empty")
+
+# Resolved in this order, so a default may read the options above it.
+_OPTIONS = (
+    _Option("fixed-point hopf limit-cycle spectrum phase-diffusion figure2", "--kappa",
+            _float, 1.0, *_POSITIVE),
+    _Option("simulate", "--kappa", _float, 1.0, *_NON_NEGATIVE),
+    _Option("fixed-point simulate hopf limit-cycle spectrum phase-diffusion", "--gamma",
+            _float, 0.0, *_NON_NEGATIVE),
+    _Option("figure2", "--gamma", _float, 0.1, *_NON_NEGATIVE),
+    _Option("fixed-point simulate", "--epsilon", _float, 0.0),
+    _Option("spectrum", "--epsilon", _float, 0.01),
+    _Option("simulate", "--chi", _float, 1.0, *_POSITIVE),
+    _Option("simulate", "--beta0", _complex, "0.1", help="e.g. '0.4j' or '0.1+0.2j'"),
+    _Option("simulate", "--alpha0", _complex, "0"),
+    _Option("simulate", "--t-final", _float, 100.0, *_POSITIVE),
+    _Option("simulate", "--n-samples", int, 2000),
+    _Option("simulate limit-cycle figure1", "--rel-tol", _float,
+            lambda p: os.environ.get("SELFPULSE_DEFAULT_TOL", DEFAULT_REL_TOL),
+            help="default $SELFPULSE_DEFAULT_TOL, else 1e-9"),
+    _Option("simulate", "--abs-tol", _float, 1e-12),
+    _Option("limit-cycle phase-diffusion", "--delta-eps", _float, None, *_POSITIVE),
+    _Option("sweep", "--delta-eps", _float, 0.0, help="required > 0 for d_phi"),
+    _Option("limit-cycle", "--t-periods", _float, 150.0),
+    _Option("figure1", "--t-periods", _float, 80.0),
+    _Option("spectrum figure2", "--omega-min", _float, -2.0),
+    _Option("spectrum figure2", "--omega-max", _float, 2.0),
+    _Option("spectrum figure2", "--n-points", int, 2001, lambda v: v >= 2, "must be >= 2"),
+    _Option("spectrum", "--elements", _elements, "33", help="one-based labels, e.g. '33,11'"),
+    _Option("phase-diffusion", "--mode", str, "reduced",
+            lambda v: v in ("reduced", "full"), "must be reduced or full"),
+    _Option("phase-diffusion", "--noise-scale", _float,
+            lambda p: 1.0 if p["mode"] == "reduced" else 1e-3),
+    _Option("phase-diffusion", "--radial-noise", _switch, False),
+    _Option("phase-diffusion", "--n-ensemble", int, 500,
+            lambda v: v >= 100, "must be >= 100 for a meaningful fit"),
+    _Option("phase-diffusion", "--dt", _float,
+            lambda p: stochastic.default_cycle_dt(p["kappa"], p["gamma"])),
+    _Option("phase-diffusion", "--t-final", _float, 80.0),
+    _Option("phase-diffusion", "--burn-in", _float,
+            lambda p: 0.0 if p["mode"] == "reduced" else 10.0),
+    _Option("figure1", "--pairs", _pairs, "1.0,0.0;1.0,0.1;0.5,0.0;0.5,0.5", *_NON_EMPTY,
+            help="'k1,g1;k2,g2;...'"),
+    _Option("figure1", "--delta-eps-fracs", _floats, "0.05,0.1,0.2",
+            lambda v: v and min(v) >= 0, "must be non-empty and >= 0", key="fracs",
+            help="fractions of epsilon_h"),
+    _Option("figure2", "--eps-list", _floats, "0.01,0.05,0.13", *_NON_EMPTY,
+            help="comma-separated drives"),
+    _Option("figure1 figure2", "--gnuplot", _switch, False,
+            help="emit a plot script with the data instead of SVG"),
+    _Option("sweep", "--kappa-grid", _grid, None, lambda v: min(v) > 0,
+            "values must be > 0", help="min:max:count"),
+    _Option("sweep", "--gamma-grid", _grid, None, help="min:max:count"),
+    _Option("sweep", "--quantities", _names, "epsilon_h,omega_h,d,a",
+            lambda v: set(v) <= set(_SWEEP_QUANTITIES), "has an unknown quantity",
+            help=f"comma-separated from {', '.join(_SWEEP_QUANTITIES)}"),
+    _Option(_ALL, "--seed", int, 0, help="64-bit PRNG seed"),
+    _Option(_ALL, "--jobs", int, 1, lambda v: v >= 1, "must be >= 1",
+            help="parallel workers"),
+    _Option(_ALL, "--format", str, "json",
+            lambda v: v in ("csv", "json"), "must be csv or json",
+            help="stdout echo format, csv or json; output files keep their formats"),
+)
+
+
+def _options(command: str) -> list:
+    return [opt for opt in _OPTIONS if command in opt.commands.split()]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="selfpulse", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("fixed-point", parents=[], help="critical point and stability")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-
-    sp = sub.add_parser("simulate", help="integrate the semiclassical equations")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--chi", type=float, default=None)
-    sp.add_argument("--beta0", type=complex, default=None, help="e.g. '0.4j' or '0.1+0.2j'")
-    sp.add_argument("--alpha0", type=complex, default=None)
-    sp.add_argument("--t-final", type=float, default=None)
-    sp.add_argument("--n-samples", type=int, default=None)
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--abs-tol", type=float, default=None)
-
-    sp = sub.add_parser("hopf", help="threshold, frequency and reduction report")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-
-    sp = sub.add_parser("limit-cycle", help="measure the settled cycle above threshold")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--delta-eps", type=float, default=None)
-    sp.add_argument("--t-periods", type=float, default=None)
-    sp.add_argument("--rel-tol", type=float, default=None)
-
-    sp = sub.add_parser("spectrum", help="linearized noise spectrum below threshold")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--omega-min", type=float, default=None)
-    sp.add_argument("--omega-max", type=float, default=None)
-    sp.add_argument("--n-points", type=int, default=None)
-    sp.add_argument("--elements", default=None, help="one-based labels, e.g. '33,11'")
-
-    sp = sub.add_parser("phase-diffusion", help="Monte-Carlo phase diffusion on the cycle")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--delta-eps", type=float, default=None)
-    sp.add_argument("--mode", choices=("reduced", "full"), default=None)
-    sp.add_argument("--noise-scale", type=float, default=None)
-    sp.add_argument("--radial-noise", action="store_true", default=None)
-    sp.add_argument("--n-ensemble", type=int, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-final", type=float, default=None)
-    sp.add_argument("--burn-in", type=float, default=None)
-
-    sp = sub.add_parser("figure1", help="limit cycles vs predictions, four panels")
-    _add_common(sp)
-    sp.add_argument("--pairs", default=None, help="'k1,g1;k2,g2;...'")
-    sp.add_argument("--delta-eps-fracs", default=None, help="fractions of epsilon_h")
-    sp.add_argument("--t-periods", type=float, default=None)
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--gnuplot", action="store_true", default=None,
-                    help="emit a plot script with the data instead of SVG")
-
-    sp = sub.add_parser("figure2", help="|S33| curves approaching threshold")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--eps-list", default=None, help="comma-separated drives")
-    sp.add_argument("--omega-min", type=float, default=None)
-    sp.add_argument("--omega-max", type=float, default=None)
-    sp.add_argument("--n-points", type=int, default=None)
-    sp.add_argument("--gnuplot", action="store_true", default=None,
-                    help="emit a plot script with the data instead of SVG")
-
-    sp = sub.add_parser("sweep", help="closed-form quantities over a (kappa, gamma) grid")
-    _add_common(sp)
-    sp.add_argument("--kappa-grid", default=None, help="min:max:count")
-    sp.add_argument("--gamma-grid", default=None, help="min:max:count")
-    sp.add_argument("--quantities", default=None,
-                    help=f"comma-separated from {', '.join(_SWEEP_QUANTITIES)}")
-    sp.add_argument("--delta-eps", type=float, default=None, help="required for d_phi")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="JSON object of option values; flags win")
+        sp.add_argument("--out", help="output directory (default selfpulse_out)")
+        for opt in _options(command):
+            if opt.parse is _switch:
+                sp.add_argument(opt.flag, action="store_const", const="true", help=opt.help)
+            else:
+                sp.add_argument(opt.flag, help=opt.help)
     sp = sub.add_parser("replay", help="re-run a recorded manifest")
     sp.add_argument("manifest")
-    sp.add_argument("--out", default=None, help="output directory for the replay")
-
+    sp.add_argument("--out", help="output directory for the replay")
     return parser
 
 
-def _validate(args, config: dict) -> dict:
-    """Resolve every option (CLI > config > default) and validate ranges."""
-    cmd = args.command
-    p = {}
+def _resolve(args, config: dict) -> tuple:
+    """Parse each option from its flag text, else its config entry, else its default.
 
-    def res(key, default, attr=None):
-        p[key] = _resolve(getattr(args, attr or key), config, key, default)
-        return p[key]
-
-    if cmd in ("fixed-point", "simulate", "spectrum", "figure2", "limit-cycle",
-               "phase-diffusion", "hopf"):
-        res("kappa", 1.0)
-        res("gamma", 0.0 if cmd != "figure2" else 0.1)
-        kappa_floor_ok = p["kappa"] >= 0 if cmd == "simulate" else p["kappa"] > 0
-        if p["kappa"] is None or not kappa_floor_ok:
-            raise DomainError(f"--kappa must be > 0, got {p['kappa']}")
-        if p["gamma"] < 0:
-            raise DomainError(f"--gamma must be >= 0, got {p['gamma']}")
-
-    if cmd == "fixed-point":
-        res("epsilon", 0.0)
-    elif cmd == "simulate":
-        res("epsilon", 0.0)
-        res("chi", 1.0)
-        if not (p["chi"] > 0):
-            raise DomainError(f"--chi must be > 0, got {p['chi']}")
-        p["beta0"] = complex(_resolve(args.beta0, config, "beta0", 0.1 + 0.0j))
-        p["alpha0"] = complex(_resolve(args.alpha0, config, "alpha0", 0.0j))
-        res("t_final", 100.0)
-        if not (p["t_final"] > 0):
-            raise DomainError("--t-final must be > 0")
-        res("n_samples", 2000)
-        res("rel_tol", _env_rel_tol())
-        res("abs_tol", 1e-12)
-    elif cmd == "limit-cycle":
-        res("delta_eps", None)
-        if p["delta_eps"] is None or not (p["delta_eps"] > 0):
-            raise DomainError(f"--delta-eps must be > 0, got {p['delta_eps']}")
-        res("t_periods", 150.0)
-        res("rel_tol", _env_rel_tol())
-    elif cmd == "spectrum":
-        res("epsilon", 0.01)
-        res("omega_min", -2.0)
-        res("omega_max", 2.0)
-        res("n_points", 2001)
-        if p["n_points"] < 2:
-            raise DomainError("--n-points must be >= 2")
-        raw = _resolve(args.elements, config, "elements", "33")
-        p["elements"] = _parse_elements(raw)
-    elif cmd == "phase-diffusion":
-        res("delta_eps", None)
-        if p["delta_eps"] is None or not (p["delta_eps"] > 0):
-            raise DomainError(f"--delta-eps must be > 0, got {p['delta_eps']}")
-        res("mode", "reduced")
-        res("noise_scale", 1.0 if p["mode"] == "reduced" else 1e-3)
-        p["radial_noise"] = bool(_resolve(args.radial_noise, config, "radial_noise", False))
-        res("n_ensemble", 500)
-        if p["n_ensemble"] < 100:
-            raise DomainError("--n-ensemble must be >= 100 for a meaningful fit")
-        res("dt", stochastic.default_cycle_dt(p["kappa"], p["gamma"]))
-        res("t_final", 80.0)
-        res("burn_in", 0.0 if p["mode"] == "reduced" else 10.0)
-    elif cmd == "figure1":
-        raw = _resolve(args.pairs, config, "pairs", "1.0,0.0;1.0,0.1;0.5,0.0;0.5,0.5")
-        p["pairs"] = _parse_pairs(raw, "--pairs")
-        if not p["pairs"]:
-            raise DomainError("--pairs must be non-empty")
-        raw = _resolve(args.delta_eps_fracs, config, "delta_eps_fracs", "0.05,0.1,0.2")
-        p["fracs"] = _parse_floats(raw, "--delta-eps-fracs")
-        if not p["fracs"]:
-            raise DomainError("--delta-eps-fracs must be non-empty")
-        if any(f < 0 for f in p["fracs"]):
-            raise DomainError("--delta-eps-fracs must be >= 0")
-        res("t_periods", 80.0)
-        res("rel_tol", _env_rel_tol())
-    elif cmd == "figure2":
-        raw = _resolve(args.eps_list, config, "eps_list", "0.01,0.05,0.13")
-        p["eps_list"] = _parse_floats(raw, "--eps-list")
-        if not p["eps_list"]:
-            raise DomainError("--eps-list must be non-empty")
-        res("omega_min", -2.0)
-        res("omega_max", 2.0)
-        res("n_points", 2001)
-    elif cmd == "sweep":
-        raw_k = _resolve(args.kappa_grid, config, "kappa_grid", None)
-        raw_g = _resolve(args.gamma_grid, config, "gamma_grid", None)
-        if raw_k is None or raw_g is None:
-            raise DomainError("sweep requires --kappa-grid and --gamma-grid (min:max:count)")
-        p["kappa_grid"] = [float(v) for v in _parse_grid(raw_k, "--kappa-grid")]
-        p["gamma_grid"] = [float(v) for v in _parse_grid(raw_g, "--gamma-grid")]
-        if any(k <= 0 for k in p["kappa_grid"]):
-            raise DomainError("--kappa-grid values must be > 0")
-        raw_q = _resolve(args.quantities, config, "quantities", "epsilon_h,omega_h,d,a")
-        p["quantities"] = [q.strip() for q in raw_q.split(",") if q.strip()]
-        bad = [q for q in p["quantities"] if q not in _SWEEP_QUANTITIES]
-        if bad:
-            raise DomainError(f"unknown sweep quantities: {bad}")
-        res("delta_eps", None)
-        if "d_phi" in p["quantities"] and (p["delta_eps"] is None or p["delta_eps"] <= 0):
-            raise DomainError("quantity d_phi requires --delta-eps > 0")
-        if p["delta_eps"] is None:
-            p["delta_eps"] = 0.0
-
-    p["seed"] = int(_resolve(getattr(args, "seed", None), config, "seed", 0))
-    p["jobs"] = int(_resolve(getattr(args, "jobs", None), config, "jobs", 1))
-    if p["jobs"] < 1:
-        raise DomainError("--jobs must be >= 1")
-    p["format"] = _resolve(getattr(args, "format", None), config, "format", "json")
-    if p["format"] not in ("csv", "json"):
-        raise DomainError(f"--format must be csv or json, got {p['format']!r}")
-    if cmd in ("figure1", "figure2"):
-        p["gnuplot"] = bool(_resolve(getattr(args, "gnuplot", None), config,
-                                     "gnuplot", False))
-    return p
-
-
-_FLAG_SPECS = {
-    "fixed-point": [("--kappa", "kappa"), ("--gamma", "gamma"), ("--epsilon", "epsilon")],
-    "simulate": [("--kappa", "kappa"), ("--gamma", "gamma"), ("--epsilon", "epsilon"),
-                 ("--chi", "chi"), ("--beta0", "beta0"), ("--alpha0", "alpha0"),
-                 ("--t-final", "t_final"), ("--n-samples", "n_samples"),
-                 ("--rel-tol", "rel_tol"), ("--abs-tol", "abs_tol")],
-    "hopf": [("--kappa", "kappa"), ("--gamma", "gamma")],
-    "limit-cycle": [("--kappa", "kappa"), ("--gamma", "gamma"),
-                    ("--delta-eps", "delta_eps"), ("--t-periods", "t_periods"),
-                    ("--rel-tol", "rel_tol")],
-    "spectrum": [("--kappa", "kappa"), ("--gamma", "gamma"), ("--epsilon", "epsilon"),
-                 ("--omega-min", "omega_min"), ("--omega-max", "omega_max"),
-                 ("--n-points", "n_points")],
-    "phase-diffusion": [("--kappa", "kappa"), ("--gamma", "gamma"),
-                        ("--delta-eps", "delta_eps"), ("--mode", "mode"),
-                        ("--noise-scale", "noise_scale"), ("--n-ensemble", "n_ensemble"),
-                        ("--dt", "dt"), ("--t-final", "t_final"), ("--burn-in", "burn_in")],
-    "figure1": [("--t-periods", "t_periods"), ("--rel-tol", "rel_tol")],
-    "figure2": [("--kappa", "kappa"), ("--gamma", "gamma"),
-                ("--omega-min", "omega_min"), ("--omega-max", "omega_max"),
-                ("--n-points", "n_points")],
-    "sweep": [("--delta-eps", "delta_eps")],
-}
-
-_RUNNERS = {
-    "fixed-point": _run_fixed_point,
-    "simulate": _run_simulate,
-    "hopf": _run_hopf,
-    "limit-cycle": _run_limit_cycle,
-    "spectrum": _run_spectrum,
-    "phase-diffusion": _run_phase_diffusion,
-    "figure1": _run_figure1,
-    "figure2": _run_figure2,
-    "sweep": _run_sweep,
-}
-
-
-def _canonical_argv(cmd: str, p: dict) -> list:
-    argv = [cmd]
-    for flag, key in _FLAG_SPECS.get(cmd, []):
-        if p.get(key) is not None:
-            argv += [flag, _fmt(p[key])]
-    if cmd == "phase-diffusion" and p.get("radial_noise"):
-        argv.append("--radial-noise")
-    if cmd in ("figure1", "figure2") and p.get("gnuplot"):
-        argv.append("--gnuplot")
-    if cmd == "spectrum":
-        argv += ["--elements", ",".join(f"{i + 1}{j + 1}" for i, j in p["elements"])]
-    if cmd == "figure1":
-        argv += ["--pairs", ";".join(f"{k},{g}" for k, g in p["pairs"])]
-        argv += ["--delta-eps-fracs", ",".join(_fmt(f) for f in p["fracs"])]
-    if cmd == "figure2":
-        argv += ["--eps-list", ",".join(_fmt(e) for e in p["eps_list"])]
-    if cmd == "sweep":
-        kg, gg = p["kappa_grid"], p["gamma_grid"]
-        argv += ["--kappa-grid", f"{kg[0]!r}:{kg[-1]!r}:{len(kg)}"]
-        argv += ["--gamma-grid", f"{gg[0]!r}:{gg[-1]!r}:{len(gg)}"]
-        argv += ["--quantities", ",".join(p["quantities"])]
-    argv += ["--seed", str(p["seed"]), "--jobs", str(p["jobs"]), "--format", p["format"]]
-    return argv
+    Returns the parameters and the argv that re-parses the same texts.
+    """
+    options = _options(args.command)
+    unknown = sorted(set(config) - {opt.name for opt in options} - {"out"})
+    if unknown:
+        raise DomainError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    p, argv = {}, [args.command]
+    for opt in options:
+        raw = getattr(args, opt.name)
+        if raw is None:
+            raw = config.get(opt.name)
+        if raw is None:
+            raw = opt.default(p) if callable(opt.default) else opt.default
+        if raw is None:
+            raise DomainError(f"{opt.flag} is required")
+        text = str(raw)
+        try:
+            value = opt.parse(text)
+        except (ValueError, TypeError) as exc:
+            hint = f" ({opt.help})" if opt.help else ""
+            raise DomainError(f"{opt.flag} cannot take {text!r}{hint}: {exc}") from None
+        if opt.check is not None and not opt.check(value):
+            raise DomainError(f"{opt.flag} {opt.message}, got {text!r}")
+        p[opt.key or opt.name] = value
+        if opt.parse is not _switch:
+            argv.append(f"{opt.flag}={text}")
+        elif value:
+            argv.append(opt.flag)
+    if "d_phi" in p.get("quantities", ()) and not p["delta_eps"] > 0:
+        raise DomainError("quantity d_phi requires --delta-eps > 0")
+    return p, argv
 
 
 def _run_replay(args) -> int:
@@ -850,8 +708,7 @@ def _run_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "replay":
         try:
@@ -862,32 +719,23 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config)
-        p = _validate(args, config)
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+        p, canonical_argv = _resolve(args, config)
+        out = Path(args.out or config.get("out") or "selfpulse_out")
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(_resolve(args.out, config, "out", "selfpulse_out"))
-    out.mkdir(parents=True, exist_ok=True)
-
     start = time.monotonic()
     try:
-        outputs = _RUNNERS[args.command](p, out)
+        outputs = _COMMANDS[args.command][0](p, out)
     except SelfPulseError as exc:
         print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
         return 2
     wall = time.monotonic() - start
 
-    manifest_params = {k: v for k, v in p.items()}
-    for key, val in list(manifest_params.items()):
-        if isinstance(val, complex):
-            manifest_params[key] = str(val)
-        elif isinstance(val, list) and val and isinstance(val[0], tuple):
-            manifest_params[key] = [list(t) for t in val]
-        elif isinstance(val, tuple):
-            manifest_params[key] = list(val)
-    _write_manifest(out, args.command, manifest_params, p["seed"],
-                    _canonical_argv(args.command, p), outputs, wall)
+    params = {k: str(v) if isinstance(v, complex) else v for k, v in p.items()}
+    _write_manifest(out, args.command, params, p["seed"], canonical_argv, outputs, wall)
     return 0
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DomainError, NumericalError, ThresholdError
 from .semiclassics import FixedPoint, SystemParams, fixed_point, hopf_threshold
 
@@ -236,14 +237,10 @@ def spectrum_to_csv(result: SpectrumResult, path, extra_pairs=()) -> None:
     """
     cols = [(2, 2)] + [p for p in extra_pairs if tuple(p) != (2, 2)]
     header = ["omega"]
+    table = [result.omega_grid]
     for i, j in cols:
         tag = f"S{i + 1}{j + 1}"
         header += [f"{tag}_re", f"{tag}_im", f"{tag}_abs"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, om in enumerate(result.omega_grid):
-            vals = [om]
-            for i, j in cols:
-                z = result.S[k, i, j]
-                vals += [z.real, z.imag, abs(z)]
-            fh.write(",".join(format(v, ".17g") for v in vals) + "\n")
+        z = result.S[:, i, j]
+        table += [z.real, z.imag, np.abs(z)]
+    write_csv(path, header, np.column_stack(table))

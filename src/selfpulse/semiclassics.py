@@ -13,11 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .csvio import write_csv
 from .errors import DomainError, NumericalError
 from .model import SemiclassicalState, SystemParams
 
 #: |Re(lambda)| below which an eigenvalue pair counts as marginal.
 MARGINAL_TOL = 1e-8
+
+#: Column names of every time-sampled state table.
+TRAJECTORY_HEADER = ("t", "beta_r", "beta_i", "alpha_r", "alpha_i")
 
 
 def vector_field(y, params: SystemParams) -> np.ndarray:
@@ -80,10 +84,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write `t,beta_r,beta_i,alpha_r,alpha_i` at full double precision."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,beta_r,beta_i,alpha_r,alpha_i\n")
-            for t, row in zip(self.times, self.y):
-                fh.write(",".join(format(v, ".17g") for v in (t, *row)) + "\n")
+        write_csv(path, TRAJECTORY_HEADER, ((t, *row) for t, row in zip(self.times, self.y)))
 
 
 def integrate(
@@ -175,14 +176,18 @@ def fixed_point(params: SystemParams) -> FixedPoint:
     if eps == 0.0:
         return FixedPoint(beta_i0=0.0, alpha_i0=0.0, residual=0.0)
 
-    f = lambda x: (4.0 / k) * x**3 + 0.5 * g * x + eps
+    f = lambda x: cubic_residual(x, params)
     df = lambda x: (12.0 / k) * x**2 + 0.5 * g
 
     # Root has the opposite sign to eps; bracket [-max(1,(k|eps|)^(1/3)), 0]
-    # (mirrored for eps < 0).  The cubic is increasing, so f(lo) < 0 < f(hi).
+    # (mirrored for eps < 0).  The cubic is increasing, so f(lo) < 0 < f(hi) unless it overflows.
     bound = max(1.0, (k * abs(eps)) ** (1.0 / 3.0))
     lo, hi = (-bound, 0.0) if eps > 0 else (0.0, bound)
-    assert f(lo) < 0.0 < f(hi), "cubic must be monotone increasing on the bracket"
+    if not f(lo) < 0.0 < f(hi):
+        raise NumericalError(
+            f"no root bracket for the fixed-point cubic at kappa={k:g}, gamma={g:g}, "
+            f"epsilon={eps:g} (f(lo)={f(lo):g}, f(hi)={f(hi):g})"
+        )
 
     x = 0.5 * (lo + hi)
     for _ in range(200):

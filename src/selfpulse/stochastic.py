@@ -22,6 +22,7 @@ from .center_manifold import (
     radial_growth_rate,
     lyapunov_coefficient,
 )
+from .csvio import write_csv
 from .errors import DomainError, NumericalError
 from .noise import LinearNoiseModel
 from .semiclassics import (
@@ -64,13 +65,6 @@ class SDEConfig:
             raise DomainError("seed must be a 64-bit unsigned integer")
 
 
-def default_dt(model: LinearNoiseModel) -> float:
-    """min(0.01/omega_h, 0.05/max|eig A|) for the linearized SDE."""
-    om_h = hopf_frequency(model.params.kappa, model.params.gamma)
-    lam = float(np.max(np.abs(np.linalg.eigvals(model.drift_A))))
-    return min(0.01 / om_h, 0.05 / lam)
-
-
 def default_cycle_dt(kappa: float, gamma: float) -> float:
     """min(0.01/omega_h, 0.05/max|eig|) using the marginal-point spectrum."""
     om_h = hopf_frequency(kappa, gamma)
@@ -85,7 +79,9 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
     Independent real unit-variance Gaussian increments feed the two
     nonzero noise channels through sqrt(D_ii); because A and D are real
     at the fixed point the paths are real and the conjugate-pair
-    components agree in distribution.
+    components agree in distribution.  Members are stepped together
+    but draw their noise from their own streams, so batching does not change
+    a member's noise; paths match a member-by-member loop to rounding only.
 
     Returns
     -------
@@ -100,46 +96,6 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
             f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
         )
     sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
-    n_burn = int(round(config.burn_in / config.dt))
-    n_rec = config.n_steps
-    dt = config.dt
-    sq = math.sqrt(dt)
-
-    out = np.empty((config.n_ensemble, n_rec + 1, 4))
-    # Per-member noise arrays keep the stream layout independent of batching.
-    for m in range(config.n_ensemble):
-        rng = member_rng(config.seed, member_offset + m)
-        xi = rng.standard_normal((n_burn + n_rec, 2))
-        x = np.zeros(4)
-        for k in range(n_burn):
-            x = x + dt * (-A @ x)
-            x[0] += sqD[0] * sq * xi[k, 0]
-            x[1] += sqD[1] * sq * xi[k, 1]
-        out[m, 0] = x
-        for k in range(n_rec):
-            x = x + dt * (-A @ x)
-            x[0] += sqD[0] * sq * xi[n_burn + k, 0]
-            x[1] += sqD[1] * sq * xi[n_burn + k, 1]
-            out[m, k + 1] = x
-    return out
-
-
-def simulate_linear_sde_batched(model: LinearNoiseModel, config: SDEConfig,
-                                member_offset: int = 0) -> np.ndarray:
-    """Vectorized variant of ``simulate_linear_sde`` (same streams, same paths).
-
-    Steps the whole ensemble at once; noise per member is still drawn
-    from that member's own stream, so results are bit-identical to the
-    sequential version.
-    """
-    A = model.drift_A
-    D = np.diag(model.diffusion_D)
-    lam = float(np.max(np.abs(np.linalg.eigvals(A))))
-    if config.dt * lam > 0.05:
-        raise DomainError(
-            f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
-        )
-    sqD = np.sqrt(np.clip(D[:2], 0.0, None))
     n_burn = int(round(config.burn_in / config.dt))
     n_rec = config.n_steps
     dt = config.dt
@@ -443,7 +399,5 @@ def phase_record_to_csv(record: PhaseRecord, path) -> None:
     dphi = record.phases - record.phases[:, :1]
     var = dphi.var(axis=0, ddof=1)
     n_eff = record.phases.shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,var_phi,n_effective\n")
-        for t, v in zip(record.times, var):
-            fh.write(f"{format(t, '.17g')},{format(v, '.17g')},{n_eff}\n")
+    write_csv(path, ("t", "var_phi", "n_effective"),
+              ((t, v, n_eff) for t, v in zip(record.times, var)))

@@ -33,6 +33,7 @@ from selfpulse import (
     predict_limit_cycle,
     radial_growth_rate,
     simulate_limit_cycle_noise,
+    simulate_linear_sde,
     spectral_peak,
     spectrum_scan,
     stationary_covariance,
@@ -40,7 +41,6 @@ from selfpulse import (
 )
 from selfpulse.center_manifold import manifold_point
 from selfpulse.semiclassics import detect_limit_cycle
-from selfpulse.stochastic import simulate_linear_sde_batched
 
 FIGURE1_PAIRS = [(1.0, 0.0), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)]
 
@@ -232,7 +232,7 @@ def test_criterion_08_sde_spectrum_and_covariance():
         for b in range(n_batches):
             cfg = SDEConfig(dt=dt, n_steps=n_steps, n_ensemble=batch,
                             seed=99, burn_in=45.0)
-            paths = simulate_linear_sde_batched(model, cfg, member_offset=b * batch)
+            paths = simulate_linear_sde(model, cfg, member_offset=b * batch)
             om, psd = estimate_psd(paths[:, 1:, 2], dt, omega_ref=om_h)
             psd_sum = psd if psd_sum is None else psd_sum + psd
             sub = paths[:, ::50, :].reshape(-1, 4)

@@ -22,6 +22,18 @@ def outputs_of(manifest_path):
     return doc["outputs"]
 
 
+def with_config_files(args, tmp_path):
+    """Replace each dict in ``args`` by the path of a JSON file holding it."""
+    filled = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        filled.append(arg)
+    return filled
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         r = run_cli(["fixed-point", "--kappa", "1", "--gamma", "0.1",
@@ -44,10 +56,24 @@ class TestExitCodes:
         ["figure2", "--eps-list", ""],
         ["spectrum", "--elements", "99"],
         ["no-such-command"],
+        ["sweep", "--kappa-grid", "a:2:3", "--gamma-grid", "0:0:1"],
+        ["fixed-point", "--epsilon", "nan"],
+        ["fixed-point", "--config", {"kappa": "x"}],
+        ["spectrum", "--config", {"elements": ["33"]}],
+        ["fixed-point", "--config", {"kapa": 2.0}],  # unknown key
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
+        args = with_config_files(args, tmp_path)
         r = run_cli(args + ["--out", str(tmp_path)] if args[0] != "no-such-command" else args)
         assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("optimize", ["", "1"])
+    def test_overflowing_fixed_point_cubic_exits_2(self, optimize, tmp_path):
+        r = run_cli(["fixed-point", "--kappa", "1e308", "--epsilon", "1e308",
+                     "--out", str(tmp_path)], env={"PYTHONOPTIMIZE": optimize})
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
     def test_numerical_failure_exits_2(self, tmp_path):
         r = run_cli(["figure2", "--eps-list", "0.01,0.3", "--out", str(tmp_path)])
@@ -228,8 +254,11 @@ class TestReplay:
         (["sweep", "--kappa-grid", "0.5:1.5:3", "--gamma-grid", "0:0.2:2",
           "--quantities", "epsilon_h,d"],
          "sweep_manifest.json"),
+        (["fixed-point", "--config", {"kappa": 2, "gamma": 0, "epsilon": 0.5}],
+         "fixed_point_manifest.json"),
     ])
     def test_byte_identical_outputs(self, tmp_path, args, manifest):
+        args = with_config_files(args, tmp_path)
         first = tmp_path / "first"
         r = run_cli(args + ["--out", str(first)])
         assert r.returncode == 0, r.stderr
