@@ -39,12 +39,10 @@ from .semiclassics import (
 from .center_manifold import (
     CMCoefficients,
     LimitCyclePrediction,
-    NormalFormData,
     cm_coefficients,
     cm_report,
     evaluate_manifold,
     lyapunov_coefficient,
-    normal_form,
     normal_form_transform,
     predict_limit_cycle,
     radial_growth_rate,

@@ -227,8 +227,7 @@ def normal_form_cubics(kappa: float, gamma: float, cm: CMCoefficients = None):
     N1, N3 = reduced_cubics(kappa, gamma, cm)
     b = hopf_threshold(kappa, gamma).beta_i0h
     om = hopf_frequency(kappa, gamma)
-    X = np.array([0.0, 2.0 * b])           # beta_r = 2 b v
-    Y = np.array([om, -kappa / 2.0])        # alpha_r = om u - (kappa/2) v
+    (X, Y), _ = normal_form_transform(kappa, gamma)  # beta_r = X.(u,v), alpha_r = Y.(u,v)
     N1uv = _compose_cubic(N1, X, Y)
     N3uv = _compose_cubic(N3, X, Y)
     Nu = kappa / (4.0 * b * om) * N1uv + N3uv / om
@@ -299,28 +298,6 @@ def lyapunov_coefficient(kappa: float, gamma: float, cross_check: bool = True) -
                 stacklevel=2,
             )
     return a
-
-
-@dataclass(frozen=True)
-class NormalFormData:
-    transform: np.ndarray
-    inverse: np.ndarray
-    d: float
-    a: float
-    omega_h: float
-    beta_i0h: float
-
-
-def normal_form(kappa: float, gamma: float) -> NormalFormData:
-    T, Tinv = normal_form_transform(kappa, gamma)
-    return NormalFormData(
-        transform=T,
-        inverse=Tinv,
-        d=radial_growth_rate(kappa, gamma),
-        a=lyapunov_coefficient(kappa, gamma, cross_check=False),
-        omega_h=hopf_frequency(kappa, gamma),
-        beta_i0h=hopf_threshold(kappa, gamma).beta_i0h,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -447,28 +447,23 @@ def _run_figure2(p: dict, out: Path) -> list:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_QUANTITIES = ("epsilon_h", "omega_h", "d", "a", "beta_i0h", "alpha_i0h", "d_phi")
+#: Each sweep quantity as a function of (kappa, gamma, delta_eps).
+_SWEEP_QUANTITIES = {
+    "epsilon_h": lambda k, g, de: semiclassics.hopf_threshold(k, g).epsilon_h,
+    "omega_h": lambda k, g, de: semiclassics.hopf_frequency(k, g),
+    "d": lambda k, g, de: cm.radial_growth_rate(k, g),
+    "a": lambda k, g, de: cm.lyapunov_coefficient(k, g, cross_check=False),
+    "beta_i0h": lambda k, g, de: semiclassics.hopf_threshold(k, g).beta_i0h,
+    "alpha_i0h": lambda k, g, de: semiclassics.hopf_threshold(k, g).alpha_i0h,
+    "d_phi": lambda k, g, de: noise.phase_diffusion_constant(k, de, gamma=g).value,
+}
 
 
 def _sweep_point(task):
     kappa, gamma, quantities, delta_eps = task
     row = {"kappa": kappa, "gamma": gamma}
-    hp = semiclassics.hopf_threshold(kappa, gamma)
     for q in quantities:
-        if q == "epsilon_h":
-            row[q] = hp.epsilon_h
-        elif q == "omega_h":
-            row[q] = semiclassics.hopf_frequency(kappa, gamma)
-        elif q == "d":
-            row[q] = cm.radial_growth_rate(kappa, gamma)
-        elif q == "a":
-            row[q] = cm.lyapunov_coefficient(kappa, gamma, cross_check=False)
-        elif q == "beta_i0h":
-            row[q] = hp.beta_i0h
-        elif q == "alpha_i0h":
-            row[q] = hp.alpha_i0h
-        elif q == "d_phi":
-            row[q] = noise.phase_diffusion_constant(kappa, delta_eps, gamma=gamma).value
+        row[q] = _SWEEP_QUANTITIES[q](kappa, gamma, delta_eps)
     return row
 
 
@@ -698,13 +693,20 @@ def _resolve(args, config: dict) -> tuple:
     return p, argv
 
 
-def _run_replay(args) -> int:
+def _replay_argv(args) -> list:
+    """The recorded argv of a manifest written by this version, plus ``--out``."""
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    argv = list(manifest["argv"])
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+            and argv[:1] and argv[0] in _COMMANDS):
+        raise ValueError("expected a JSON object whose argv is a list of strings "
+                         "starting with a command")
+    if manifest.get("version") != __version__:
+        raise ValueError(f"written by version {manifest.get('version')!r}, "
+                         f"this is {__version__}")
     out = args.out or (str(Path(args.manifest).resolve().parent) + "_replay")
-    argv += ["--out", out]
-    return main(argv)
+    return argv + ["--out", out]
 
 
 def main(argv=None) -> int:
@@ -712,10 +714,11 @@ def main(argv=None) -> int:
 
     if args.command == "replay":
         try:
-            return _run_replay(args)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            replay_argv = _replay_argv(args)
+        except (OSError, ValueError) as exc:
             print(f"selfpulse replay: cannot load manifest: {exc}", file=sys.stderr)
             return 1
+        return main(replay_argv)
 
     try:
         config = _load_config(args.config)

@@ -48,6 +48,9 @@ class SystemParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        for name in ("kappa", "gamma", "epsilon", "chi", "nbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         # kappa = 0 is admitted so the undamped conservation oracle can run;
         # operations that divide by kappa enforce positivity themselves.
         if self.kappa < 0:

@@ -29,19 +29,20 @@ def vector_field(y, params: SystemParams) -> np.ndarray:
 
     Parameters
     ----------
-    y : array_like, shape (4,)
-        State (beta_r, beta_i, alpha_r, alpha_i).
+    y : array_like, shape (..., 4)
+        State (beta_r, beta_i, alpha_r, alpha_i), or a batch of states
+        along the leading axes.
     params : SystemParams
         Must have chi == 1.
 
     Returns
     -------
-    ndarray, shape (4,)
-        (dbeta_r, dbeta_i, dalpha_r, dalpha_i)/dt.
+    ndarray, shape (..., 4)
+        (dbeta_r, dbeta_i, dalpha_r, dalpha_i)/dt for each state.
     """
     if params.chi != 1.0:
         raise DomainError("vector_field requires chi == 1; rescale_to_unit_chi first")
-    br, bi, ar, ai = y
+    br, bi, ar, ai = np.asarray(y).T
     g2 = params.gamma / 2.0
     k2 = params.kappa / 2.0
     return np.array([
@@ -49,7 +50,7 @@ def vector_field(y, params: SystemParams) -> np.ndarray:
         2.0 * (br * ar + bi * ai) - g2 * bi - params.epsilon,
         -2.0 * br * bi - k2 * ar,
         br * br - bi * bi - k2 * ai,
-    ])
+    ]).T
 
 
 @dataclass(frozen=True)

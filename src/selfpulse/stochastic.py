@@ -1,5 +1,8 @@
 """Monte-Carlo layer: linearized SDE ensembles and on-cycle phase noise.
 
+Every ensemble (linearized, reduced and full mode) runs on one
+Euler-Maruyama stepper, ``_euler_maruyama``, with its own step function.
+
 Reproducibility contract: every ensemble member draws from its own
 Philox4x64 stream with key = seed and counter high word = member index,
 so (seed, member index) fully determines a path independent of batching
@@ -21,6 +24,7 @@ from .center_manifold import (
     predict_limit_cycle,
     radial_growth_rate,
     lyapunov_coefficient,
+    to_normal_form,
 )
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
@@ -30,6 +34,7 @@ from .semiclassics import (
     hopf_eigenvalues,
     hopf_frequency,
     hopf_threshold,
+    vector_field,
 )
 
 _ANALYSIS_STREAM = 2**62
@@ -38,6 +43,34 @@ _ANALYSIS_STREAM = 2**62
 def member_rng(seed: int, member: int) -> np.random.Generator:
     """Counter-based per-member stream; see the module docstring."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, member]))
+
+
+def _member_normals(seed: int, members: range, n_steps: int) -> np.ndarray:
+    """Unit normals, shape (len(members), n_steps, 2); row i from member members[i]."""
+    xi = np.empty((len(members), n_steps, 2))
+    for i, m in enumerate(members):
+        xi[i] = member_rng(seed, m).standard_normal((n_steps, 2))
+    return xi
+
+
+def _euler_maruyama(config, state, step, out: np.ndarray, observe, member_offset: int = 0):
+    """Run an ensemble through burn-in and ``config.n_steps`` recorded steps.
+
+    ``step(state, dw)`` advances the whole batch given its normals ``dw``,
+    shape (n, 2), member i drawing from stream ``member_offset + i``.
+    ``observe(state)`` is written to ``out[:, 0]`` after burn-in and to
+    ``out[:, j]`` after the j-th recorded step.  Returns the final state.
+    """
+    n_burn = int(round(config.burn_in / config.dt))
+    xi = _member_normals(config.seed, range(member_offset, member_offset + config.n_ensemble),
+                         n_burn + config.n_steps)
+    if n_burn == 0:
+        out[:, 0] = observe(state)
+    for k in range(xi.shape[1]):
+        state = step(state, xi[:, k])
+        if k >= n_burn - 1:
+            out[:, k - n_burn + 1] = observe(state)
+    return state
 
 
 @dataclass(frozen=True)
@@ -55,12 +88,12 @@ class SDEConfig:
     burn_in: float = 0.0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        if not (0 < self.dt < math.inf):
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 1 or self.n_ensemble < 1:
             raise DomainError("n_steps and n_ensemble must be >= 1")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not (0 <= self.burn_in < math.inf):
+            raise DomainError(f"burn_in must be finite and >= 0, got {self.burn_in}")
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit unsigned integer")
 
@@ -96,29 +129,18 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
             f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
         )
     sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
-    n_burn = int(round(config.burn_in / config.dt))
-    n_rec = config.n_steps
     dt = config.dt
     sq = math.sqrt(dt)
-    n = config.n_ensemble
-
-    xi = np.empty((n, n_burn + n_rec, 2))
-    for m in range(n):
-        xi[m] = member_rng(config.seed, member_offset + m).standard_normal((n_burn + n_rec, 2))
-
-    x = np.zeros((n, 4))
-    out = np.empty((n, n_rec + 1, 4))
     mAT = -A.T
-    for k in range(n_burn):
+
+    def step(x, dw):
         x = x + dt * (x @ mAT)
-        x[:, 0] += sqD[0] * sq * xi[:, k, 0]
-        x[:, 1] += sqD[1] * sq * xi[:, k, 1]
-    out[:, 0] = x
-    for k in range(n_rec):
-        x = x + dt * (x @ mAT)
-        x[:, 0] += sqD[0] * sq * xi[:, n_burn + k, 0]
-        x[:, 1] += sqD[1] * sq * xi[:, n_burn + k, 1]
-        out[:, k + 1] = x
+        x[:, :2] += sqD * sq * dw
+        return x
+
+    out = np.empty((config.n_ensemble, config.n_steps + 1, 4))
+    _euler_maruyama(config, np.zeros((config.n_ensemble, 4)), step, out, lambda x: x,
+                    member_offset)
     return out
 
 
@@ -242,87 +264,50 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     A_amp = pred.amplitude_A
     dt = config.dt
     sq = math.sqrt(dt)
-    n_burn = int(round(config.burn_in / dt))
-    n_rec = config.n_steps
     n = config.n_ensemble
-
-    times = np.arange(n_rec + 1) * dt
+    times = np.arange(config.n_steps + 1) * dt
+    phases = np.empty((n, config.n_steps + 1))
 
     if mode == "reduced":
         d = radial_growth_rate(kappa, gamma)
         a = lyapunov_coefficient(kappa, gamma, cross_check=False)
-        phases = np.empty((n, n_rec + 1))
-        alive = np.ones(n, dtype=bool)
-        r = np.full(n, A_amp)
-        phi = np.zeros(n)
-        xi_r = np.empty((n, n_burn + n_rec))
-        xi_p = np.empty((n, n_burn + n_rec))
-        for m in range(n):
-            z = member_rng(config.seed, m).standard_normal((n_burn + n_rec, 2))
-            xi_r[m] = z[:, 0]
-            xi_p[m] = z[:, 1]
         sig_r = sig if radial_noise else 0.0
-        for k in range(n_burn + n_rec):
-            r = r + dt * (d * delta_epsilon * r + a * r**3) + sig_r * sq * xi_r[:, k]
-            phi = phi + dt * om_h + (sig / A_amp) * sq * xi_p[:, k]
-            alive &= r > 0.0
-            if k >= n_burn:
-                phases[:, k - n_burn + 1] = phi
-            if k == n_burn - 1:
-                phases[:, 0] = phi
-        if n_burn == 0:
-            phases[:, 0] = 0.0
-        kept = phases[alive]
-        return PhaseRecord(times=times, phases=kept, excluded=int(n - alive.sum()),
+
+        def step(state, dw):
+            r, phi, alive = state
+            r = r + dt * (d * delta_epsilon * r + a * r**3) + sig_r * sq * dw[:, 0]
+            phi = phi + dt * om_h + (sig / A_amp) * sq * dw[:, 1]
+            return r, phi, alive & (r > 0.0)
+
+        start = (np.full(n, A_amp), np.zeros(n), np.ones(n, dtype=bool))
+        _, _, alive = _euler_maruyama(config, start, step, phases, lambda state: state[1])
+        return PhaseRecord(times=times, phases=phases[alive], excluded=int(n - alive.sum()),
                            mode=mode, params=params, delta_epsilon=delta_epsilon,
                            s=s, noise_scale=noise_scale, config=config)
 
     # full mode
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
     run = SystemParams(kappa=kappa, gamma=gamma, epsilon=eps)
-    T, Tinv = normal_form_transform(kappa, gamma)
+    T, _ = normal_form_transform(kappa, gamma)
     # Columns of T give the (u, v) directions in the (beta_r, alpha_r) plane.
     dir_u = np.array([T[0, 0], 0.0, T[1, 0], 0.0])
     dir_v = np.array([T[0, 1], 0.0, T[1, 1], 0.0])
-    y = np.tile(pred.orbit(0.0)[0], (n, 1))
 
-    xi_u = np.empty((n, n_burn + n_rec))
-    xi_v = np.empty((n, n_burn + n_rec))
-    for m in range(n):
-        z = member_rng(config.seed, m).standard_normal((n_burn + n_rec, 2))
-        xi_u[m] = z[:, 0]
-        xi_v[m] = z[:, 1]
+    def step(y, dw):
+        return y + dt * vector_field(y, run) + sig * sq * (np.outer(dw[:, 0], dir_u)
+                                                           + np.outer(dw[:, 1], dir_v))
 
-    def drift(yy):
-        br, bi, ar, ai = yy[:, 0], yy[:, 1], yy[:, 2], yy[:, 3]
-        g2, k2 = gamma / 2.0, kappa / 2.0
-        return np.stack([
-            2.0 * (bi * ar - br * ai) - g2 * br,
-            2.0 * (br * ar + bi * ai) - g2 * bi - eps,
-            -2.0 * br * bi - k2 * ar,
-            br * br - bi * bi - k2 * ai,
-        ], axis=-1)
+    phi = prev = None
 
-    def wrapped_angle(yy):
-        u = Tinv[0, 0] * yy[:, 0] + Tinv[0, 1] * yy[:, 2]
-        v = Tinv[1, 0] * yy[:, 0] + Tinv[1, 1] * yy[:, 2]
-        return np.arctan2(u, v)
-
-    phases = np.empty((n, n_rec + 1))
-    for k in range(n_burn):
-        y = y + dt * drift(y) + sig * sq * (np.outer(xi_u[:, k], dir_u) + np.outer(xi_v[:, k], dir_v))
-    prev = wrapped_angle(y)
-    phi = prev.copy()
-    phases[:, 0] = phi
-    for k in range(n_rec):
-        kk = n_burn + k
-        y = y + dt * drift(y) + sig * sq * (np.outer(xi_u[:, kk], dir_u) + np.outer(xi_v[:, kk], dir_v))
-        ang = wrapped_angle(y)
-        jump = ang - prev
-        jump = (jump + math.pi) % (2.0 * math.pi) - math.pi  # nearest-branch continuation
-        phi = phi + jump
+    def unwrapped_phase(y):
+        nonlocal phi, prev
+        ang = np.arctan2(*to_normal_form(kappa, gamma, y[:, 0], y[:, 2]))
+        # nearest-branch continuation from the previous sample
+        phi = ang if phi is None else phi + ((ang - prev + math.pi) % (2.0 * math.pi) - math.pi)
         prev = ang
-        phases[:, k + 1] = phi
+        return phi
+
+    _euler_maruyama(config, np.tile(pred.orbit(0.0)[0], (n, 1)), step, phases, unwrapped_phase)
     phases -= phases[:, :1]
     return PhaseRecord(times=times, phases=phases, excluded=0, mode=mode,
                        params=params, delta_epsilon=delta_epsilon, s=s,

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from selfpulse import __version__
+
 CLI = [sys.executable, "-m", "selfpulse"]
 
 
@@ -271,6 +273,20 @@ class TestReplay:
     def test_missing_manifest(self, tmp_path):
         r = run_cli(["replay", str(tmp_path / "nope.json")])
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("manifest", [
+        lambda path: [],
+        lambda path: {"argv": "fixed-point"},
+        lambda path: {"argv": ["fixed-point", "--kappa=1"], "version": "0.0.0"},
+        lambda path: {"argv": ["replay", str(path)], "version": __version__},
+    ], ids=["list", "argv-string", "wrong-version", "replays-itself"])
+    def test_malformed_manifest_exits_1(self, tmp_path, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest(path)))
+        r = run_cli(["replay", str(path), "--out", str(tmp_path / "replayed")])
+        assert r.returncode == 1, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert "cannot load manifest" in r.stderr
 
 
 class TestOutputModes:

@@ -166,6 +166,11 @@ class TestSystemParams:
             SystemParams(kappa=1.0, gamma=-0.1, epsilon=0.0)
         with pytest.raises(DomainError):
             SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0, chi=0.0)
+        for name in ("kappa", "gamma", "epsilon", "chi", "nbar"):
+            for bad in (math.nan, math.inf, -math.inf):
+                kwargs = {"kappa": 1.0, "gamma": 0.0, "epsilon": 0.0, name: bad}
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    SystemParams(**kwargs)
         # kappa = 0 admitted for the undamped conservation flow
         SystemParams(kappa=0.0, gamma=0.0, epsilon=0.0)
 

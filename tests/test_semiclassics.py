@@ -58,6 +58,14 @@ class TestVectorField:
             assert f[2] == pytest.approx(dalpha.real, rel=1e-12, abs=1e-12)
             assert f[3] == pytest.approx(dalpha.imag, rel=1e-12, abs=1e-12)
 
+    def test_batched_states_match_single_calls(self):
+        p = params_at(0.8, 0.3, 0.21)
+        ys = np.random.default_rng(7).uniform(-2, 2, size=(2, 3, 4))
+        f = vector_field(ys, p)
+        assert f.shape == ys.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(f[idx], vector_field(ys[idx], p))
+
     def test_requires_unit_chi(self):
         with pytest.raises(DomainError):
             vector_field(np.zeros(4), SystemParams(kappa=1, gamma=0, epsilon=0, chi=2.0))

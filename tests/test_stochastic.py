@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +152,42 @@ class TestEstimatePsd:
         assert abs(emp_peak - ana_peak) <= bin_width
 
 
+_PINNED_CFG = SDEConfig(dt=0.02, n_steps=60, n_ensemble=5, seed=7, burn_in=0.4)
+_P0 = SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0)
+
+
+def _pinned_cycle(mode, deps=0.05, n_ensemble=6, seed=42, burn_in=0.5, **kwargs):
+    cfg = SDEConfig(dt=0.02, n_steps=100, n_ensemble=n_ensemble, seed=seed, burn_in=burn_in)
+    return simulate_limit_cycle_noise(_P0, deps, cfg, mode=mode, **kwargs)
+
+
+# sha256 of the result array's bytes.  The digests pin the Euler-Maruyama
+# paths bit for bit on this float64 x86-64 numpy/OpenBLAS build; another
+# BLAS or CPU may legitimately round differently.
+@pytest.mark.parametrize("run, digest, excluded", [
+    (lambda: simulate_linear_sde(MODEL, _PINNED_CFG),
+     "dd2335d3f971aff69c89a0930dc37e8871724f55ad958b50412f5901303c484a", None),
+    (lambda: simulate_linear_sde(MODEL, _PINNED_CFG, member_offset=2),
+     "5023294a48c8fc8574539edb942fae8115efe16779fbafe79032d4ebdf255cce", None),
+    (lambda: _pinned_cycle("reduced"),
+     "1fefe0b496bdadf01c73e1be73e8ad86fdd410b464a1f6bc3e93d6b8dcd1d2b5", 0),
+    (lambda: _pinned_cycle("reduced", burn_in=0.0),
+     "69998aba571bc3c24176a799cfec0de86202cb7d2b14a640bbd5251a8cea0fd4", 0),
+    (lambda: _pinned_cycle("reduced", deps=0.001, n_ensemble=8, seed=3,
+                           noise_scale=0.05, radial_noise=True),
+     "46f71c58dbd1717c06d7fe4856a0508abe46a8899c1b8f0d32a38de358886f6b", 6),
+    (lambda: _pinned_cycle("full", noise_scale=1e-3),
+     "36ada7287092add69890448a4e042fe1f2bef7a0f5cd5862aaa40bac68bf8314", 0),
+], ids=["linear", "linear-offset", "reduced", "reduced-no-burn-in", "reduced-radial",
+        "full"])
+def test_pinned_ensemble_digest(run, digest, excluded):
+    out = run()
+    if excluded is not None:
+        assert out.excluded == excluded
+        out = out.phases
+    assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == digest
+
+
 def cycle_config(dt=0.02, t_final=60.0, n_ensemble=300, seed=42, burn_in=0.0):
     return SDEConfig(dt=dt, n_steps=int(round(t_final / dt)), n_ensemble=n_ensemble,
                      seed=seed, burn_in=burn_in)
@@ -272,6 +309,10 @@ class TestLimitCycleNoise:
             simulate_limit_cycle_noise(p, -0.1, cycle_config())
         with pytest.raises(DomainError):
             simulate_limit_cycle_noise(p, 0.05, cycle_config(), mode="other")
+        for field in ("dt", "burn_in"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"{field} must be finite"):
+                    SDEConfig(**{"dt": 0.02, "n_steps": 10, "n_ensemble": 2, field: bad})
 
     def test_gamma_warning(self):
         p = SystemParams(kappa=1.0, gamma=0.5, epsilon=0.0)
