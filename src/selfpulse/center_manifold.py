@@ -15,6 +15,7 @@ linear forms reduces to convolution.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -163,12 +164,15 @@ def evaluate_manifold(cm: CMCoefficients, beta_r, alpha_r):
 # normal form
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def normal_form_transform(kappa: float, gamma: float):
     """Linear change of variables (beta_r, alpha_r) = T (u, v) and its inverse.
 
     T = [[0, 2 beta_i0h], [omega_h, -kappa/2]]; the inverse is evaluated
     from its printed component form rather than by matrix inversion, so
-    T @ Tinv == I is a genuine consistency check.
+    T @ Tinv == I is a genuine consistency check.  Results are memoised
+    per (kappa, gamma), since full-mode phase noise maps every step
+    through the same transform, and returned read-only.
     """
     b = hopf_threshold(kappa, gamma).beta_i0h
     om = hopf_frequency(kappa, gamma)
@@ -178,6 +182,8 @@ def normal_form_transform(kappa: float, gamma: float):
         [kappa / (2.0 * s * b), 2.0 / s],
         [1.0 / (2.0 * b), 0.0],
     ])
+    T.flags.writeable = False
+    Tinv.flags.writeable = False
     return T, Tinv
 
 

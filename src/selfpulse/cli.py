@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -103,6 +103,8 @@ def _load_config(path) -> dict:
 
 def _pmap(fn, items, jobs: int):
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))
     return [fn(it) for it in items]
@@ -460,20 +462,35 @@ _SWEEP_QUANTITIES = {
 
 
 def _sweep_point(task):
+    """One grid row, and its warnings as {(category, file, line): first message}."""
     kappa, gamma, quantities, delta_eps = task
     row = {"kappa": kappa, "gamma": gamma}
-    for q in quantities:
-        row[q] = _SWEEP_QUANTITIES[q](kappa, gamma, delta_eps)
-    return row
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        for q in quantities:
+            row[q] = _SWEEP_QUANTITIES[q](kappa, gamma, delta_eps)
+    caught = {}
+    for w in log:
+        caught.setdefault((w.category.__name__, w.filename, w.lineno), str(w.message))
+    return row, caught
 
 
 def _run_sweep(p: dict, out: Path) -> list:
     tasks = [(k, g, tuple(p["quantities"]), p["delta_eps"])
              for k in p["kappa_grid"] for g in p["gamma_grid"]]
-    rows = _pmap(_sweep_point, tasks, p["jobs"])
+    results = _pmap(_sweep_point, tasks, p["jobs"])
+    rows = [row for row, _ in results]
     header = ["kappa", "gamma"] + list(p["quantities"])
     write_csv(out / "sweep.csv", header, ([row[h] for h in header] for row in rows))
     print(f"wrote sweep.csv ({len(rows)} rows)")
+    # One line per warning site, not one per grid point.
+    warned = {}
+    for _, caught in results:
+        for site, message in caught.items():
+            warned.setdefault(site, [message, 0])[1] += 1
+    for (category, _, _), (message, count) in warned.items():
+        print(f"selfpulse sweep: {category} at {count} of {len(rows)} points, first: {message}",
+              file=sys.stderr)
     return ["sweep.csv"]
 
 

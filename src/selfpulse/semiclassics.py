@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
@@ -129,6 +128,8 @@ def integrate(
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
     if t_eval is None:
         t_eval = np.linspace(t0, t1, int(n_samples))
+
+    from scipy.integrate import solve_ivp  # deferred: a start-up cost most commands never use
 
     sol = solve_ivp(
         lambda t, y: vector_field(y, params),

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .center_manifold import (
     normal_form_transform,
@@ -146,6 +145,8 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
 
 def stationary_covariance(model: LinearNoiseModel) -> np.ndarray:
     """Stationary covariance from the Lyapunov equation A S + S A^T = D."""
+    from scipy.linalg import solve_continuous_lyapunov  # deferred: a start-up cost
+
     return solve_continuous_lyapunov(model.drift_A, model.diffusion_D)
 
 
@@ -332,8 +333,11 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     The variance at each time is taken across members (about the
     ensemble mean, which removes the common deterministic drift) and
     fitted through the origin.  The standard error comes from an
-    ensemble bootstrap; sub-linear or saturating growth (R^2 < 0.9)
-    raises NumericalError.
+    ensemble bootstrap: the ``n_bootstrap`` resamples of members are kept
+    as a (n_bootstrap, n) matrix W of draw counts, so each resample's
+    variance follows from two matrix products with the centred phases
+    and no resampled copy of the record is built.  Sub-linear or
+    saturating growth (R^2 < 0.9) raises NumericalError.
     """
     n = record.phases.shape[0]
     if n < 100:
@@ -341,11 +345,8 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     t = record.times
     dphi = record.phases - record.phases[:, :1]
 
-    def slope_of(rows):
-        var = rows.var(axis=0, ddof=1)
-        return float((var @ t) / (t @ t)), var
-
-    d_hat, var = slope_of(dphi)
+    var = dphi.var(axis=0, ddof=1)
+    d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
     floor = (1e-12 * max(1.0, float(np.max(np.abs(record.phases))))) ** 2
     if float(var.max(initial=0.0)) <= floor:
@@ -356,12 +357,18 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     ss_tot = float(((var - var.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
+    # Resample b holds member i W[b, i] times (the same draws as indexing
+    # dphi with them), so its sums of y and y^2 are W @ y and W @ (y*y).
+    # Centring y once on the full-ensemble mean keeps the resampled means
+    # small, so the sum-of-squares variance loses no significant digits.
     rng = member_rng(record.config.seed, _ANALYSIS_STREAM)
-    boots = np.empty(n_bootstrap)
+    W = np.empty((n_bootstrap, n))
     for b in range(n_bootstrap):
-        idx = rng.integers(0, n, size=n)
-        boots[b], _ = slope_of(dphi[idx])
-    stderr = float(boots.std(ddof=1))
+        W[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    y = dphi - dphi.mean(axis=0)
+    mean = (W @ y) / n
+    boot_var = (W @ (y * y) - n * mean**2) / (n - 1)
+    stderr = float(((boot_var @ t) / (t @ t)).std(ddof=1))
 
     if r2 < 0.9:
         raise NumericalError(

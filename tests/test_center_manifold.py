@@ -111,6 +111,12 @@ class TestNormalFormTransform:
         R = Tinv @ center_block(kappa, gamma) @ T
         assert np.max(np.abs(R - np.array([[0.0, -om], [om, 0.0]]))) <= 1e-10
 
+    def test_memoised_read_only(self):
+        T, Tinv = normal_form_transform(1.0, 0.1)
+        assert normal_form_transform(1.0, 0.1)[0] is T
+        with pytest.raises(ValueError):
+            Tinv[0, 0] = 0.0
+
     def test_reference_entry(self):
         T, _ = normal_form_transform(1.0, 0.0)
         assert T[0, 1] == pytest.approx(2.0 * (-math.sqrt(1.0 / 8.0)), rel=1e-15)

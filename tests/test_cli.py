@@ -214,6 +214,18 @@ class TestSweepCommand:
         assert np.array_equal(data[:, 0], [1, 1, 1, 2, 2, 2])
         assert np.allclose(data[:, 1], [0, 0.25, 0.5, 0, 0.25, 0.5])
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_stderr_line_per_warning(self, tmp_path, jobs):
+        # gamma > 0.1 kappa at 123 of the 250 points makes d_phi warn at each.
+        r = run_cli(["sweep", "--kappa-grid", "0.1:10:50", "--gamma-grid", "0:1:5",
+                     "--quantities", "epsilon_h,omega_h,d,a,d_phi", "--delta-eps", "0.01",
+                     "--jobs", jobs, "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines() == [
+            "selfpulse sweep: UserWarning at 123 of 250 points, first: gamma=0.25 is not "
+            "small against kappa=0.1; the phase-diffusion constant is derived in the "
+            "kappa >> gamma regime"]
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         args = ["sweep", "--kappa-grid", "0.5:2:3", "--gamma-grid", "0:1:3",
@@ -242,6 +254,35 @@ class TestPhaseDiffusionCommand:
         assert doc["d_phi_hat"] == pytest.approx(doc["analytic"]["value"], rel=0.2)
         csv = (tmp_path / "phase_variance.csv").read_text().splitlines()
         assert csv[0] == "t,var_phi,n_effective"
+
+
+_NO_SCIPY = """
+import sys
+from selfpulse.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    rc = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+if rc or loaded:
+    sys.exit(f"exit {rc}, scipy modules loaded: {loaded[:5]}")
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"],
+    ["fixed-point", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.13"],
+    ["hopf", "--kappa", "1", "--gamma", "0.1"],
+    ["sweep", "--kappa-grid", "0.1:10:5", "--gamma-grid", "0:1:3",
+     "--quantities", "epsilon_h,omega_h,d,a,d_phi", "--delta-eps", "0.01"],
+    ["spectrum", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.13", "--elements", "33,11"],
+    ["figure2"],
+], ids=lambda args: args[0])
+def test_closed_form_commands_do_not_import_scipy(tmp_path, args):
+    out = [] if args == ["--version"] else ["--out", str(tmp_path)]
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args, *out],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 class TestReplay:

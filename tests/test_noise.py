@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from selfpulse import (
     DomainError,
+    NumericalError,
     SystemParams,
     ThresholdError,
     fixed_point,
@@ -133,6 +135,19 @@ class TestSpectrumScan:
             res = spectrum_scan(model_at(eps), -2.0, 2.0, 2001)
             heights.append(np.max(np.abs(res.S[:, 2, 2])))
         assert heights[0] < heights[1] < heights[2]
+
+    @pytest.mark.parametrize("eps", [0.01, 0.13])
+    def test_batched_scan_matches_pointwise_calls(self, eps):
+        m = model_at(eps)
+        res = spectrum_scan(m, -2.0, 2.0, 2001)
+        assert np.array_equal(res.S, np.stack([spectrum(m, om) for om in res.omega_grid]))
+
+    def test_singular_point_is_named(self):
+        # A with a zero eigenvalue makes i*omega*I + A singular at omega = 0 only.
+        m = dataclasses.replace(model_at(0.13), drift_A=np.diag([0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(NumericalError) as info:
+            spectrum_scan(m, -1.0, 1.0, 5)
+        assert str(info.value) == "singular spectrum solve at omega=0.0"
 
     def test_grid_validation(self):
         m = model_at(0.13)

@@ -25,6 +25,7 @@ from selfpulse import (
     to_normal_form,
 )
 from selfpulse.stochastic import (
+    _ANALYSIS_STREAM,
     PhaseRecord,
     member_rng,
 )
@@ -55,6 +56,19 @@ def _reference_linear_sde(model, config):
             x[1] += sqD[1] * sq * xi[n_burn + k, 1]
             out[m, k + 1] = x
     return out
+
+
+def _reference_bootstrap(record, n_bootstrap=200):
+    """Bootstrap stderr of the slope, one resampled copy of the record at a time."""
+    n = record.phases.shape[0]
+    t = record.times
+    dphi = record.phases - record.phases[:, :1]
+    rng = member_rng(record.config.seed, _ANALYSIS_STREAM)
+    boots = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        var = dphi[rng.integers(0, n, size=n)].var(axis=0, ddof=1)
+        boots[b] = (var @ t) / (t @ t)
+    return float(boots.std(ddof=1))
 
 
 class TestStreams:
@@ -354,6 +368,17 @@ class TestMeasurePhaseDiffusion:
         phases = (1.0 - np.exp(-times / 2.0))[None, :] * xi
         with pytest.raises(NumericalError, match="not linear"):
             measure_phase_diffusion(synthetic_record(phases, times))
+
+    @pytest.mark.parametrize("mode, noise_scale, burn_in", [
+        ("reduced", 1.0, 0.0), ("full", 1e-3, 2.0)])
+    def test_bootstrap_matches_per_resample_loop(self, mode, noise_scale, burn_in):
+        p = SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0)
+        rec = simulate_limit_cycle_noise(p, 0.05, cycle_config(t_final=20.0, n_ensemble=150,
+                                                              seed=5, burn_in=burn_in),
+                                         mode=mode, noise_scale=noise_scale)
+        fit = measure_phase_diffusion(rec)
+        assert fit.stderr > 0.0
+        assert fit.stderr == pytest.approx(_reference_bootstrap(rec), rel=1e-12)
 
     def test_physical_rescaling(self):
         rng = np.random.default_rng(13)
