@@ -164,16 +164,22 @@ def evaluate_manifold(cm: CMCoefficients, beta_r, alpha_r):
 # normal form
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def normal_form_transform(kappa: float, gamma: float):
     """Linear change of variables (beta_r, alpha_r) = T (u, v) and its inverse.
 
     T = [[0, 2 beta_i0h], [omega_h, -kappa/2]]; the inverse is evaluated
     from its printed component form rather than by matrix inversion, so
-    T @ Tinv == I is a genuine consistency check.  Results are memoised
-    per (kappa, gamma), since full-mode phase noise maps every step
-    through the same transform, and returned read-only.
+    T @ Tinv == I is a genuine consistency check.  ``kappa`` and ``gamma``
+    are scalars (Python or numpy, 0-d arrays included).  Results are
+    memoised per (float(kappa), float(gamma)), since full-mode phase noise
+    maps every step through the same transform; the returned arrays are
+    shared between calls and therefore read-only.
     """
+    return _normal_form_transform(float(kappa), float(gamma))
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_form_transform(kappa: float, gamma: float):
     b = hopf_threshold(kappa, gamma).beta_i0h
     om = hopf_frequency(kappa, gamma)
     T = np.array([[0.0, 2.0 * b], [om, -kappa / 2.0]])

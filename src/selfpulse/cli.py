@@ -462,11 +462,14 @@ _SWEEP_QUANTITIES = {
 
 
 def _sweep_point(task):
-    """One grid row, and its warnings as {(category, file, line): first message}."""
+    """One grid row, and its warnings as {(category, file, line): first message}.
+
+    The interpreter's warning filters still apply: ``-W error`` makes a
+    warning fail the sweep, and ``-W ignore`` leaves nothing to record.
+    """
     kappa, gamma, quantities, delta_eps = task
     row = {"kappa": kappa, "gamma": gamma}
     with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
         for q in quantities:
             row[q] = _SWEEP_QUANTITIES[q](kappa, gamma, delta_eps)
     caught = {}

@@ -104,7 +104,10 @@ def spectrum(model: LinearNoiseModel, omega) -> np.ndarray:
     D = model.diffusion_D
     I = np.eye(4)
     try:
-        X = np.linalg.solve(1j * omega * I + A, D.astype(complex))
+        M = 1j * omega * I + A
+        # D gets M's batch shape: numpy < 2.0 would read a (4, 4) right-hand
+        # side of an (n, 4, 4) stack as n vectors.
+        X = np.linalg.solve(M, np.broadcast_to(D.astype(complex), M.shape))
         # S = X (-i w I + A^T)^(-1); transpose once to reuse solve.
         S = np.swapaxes(np.linalg.solve(-1j * omega * I + A, np.swapaxes(X, -1, -2)), -1, -2)
     except np.linalg.LinAlgError as exc:

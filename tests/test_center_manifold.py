@@ -114,6 +114,8 @@ class TestNormalFormTransform:
     def test_memoised_read_only(self):
         T, Tinv = normal_form_transform(1.0, 0.1)
         assert normal_form_transform(1.0, 0.1)[0] is T
+        # numpy scalars and 0-d arrays share the memo entry of their float value
+        assert normal_form_transform(np.array(1.0), np.float64(0.1))[0] is T
         with pytest.raises(ValueError):
             Tinv[0, 0] = 0.0
 

@@ -226,6 +226,19 @@ class TestSweepCommand:
             "small against kappa=0.1; the phase-diffusion constant is derived in the "
             "kappa >> gamma regime"]
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_warning_filters_still_apply(self, tmp_path, action):
+        # gamma=1 > 0.1 kappa at two of the four points.
+        r = run_cli(["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:1:2",
+                     "--quantities", "d_phi", "--delta-eps", "0.01", "--out", str(tmp_path)],
+                    env={"PYTHONWARNINGS": action})
+        if action == "error":
+            assert r.returncode != 0
+            assert "UserWarning: gamma=1" in r.stderr
+        else:
+            assert r.returncode == 0, r.stderr
+            assert r.stderr == ""
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         args = ["sweep", "--kappa-grid", "0.5:2:3", "--gamma-grid", "0:1:3",

@@ -142,6 +142,21 @@ class TestSpectrumScan:
         res = spectrum_scan(m, -2.0, 2.0, 2001)
         assert np.array_equal(res.S, np.stack([spectrum(m, om) for om in res.omega_grid]))
 
+    @pytest.mark.parametrize("n_points", [4, 5])
+    def test_batched_scan_under_numpy1_solve_rule(self, monkeypatch, n_points):
+        # numpy < 2.0 reads b as a stack of vectors whenever b.ndim == a.ndim - 1;
+        # the scan must not depend on the newer rule (b.ndim == 1).
+        solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return solve(a, b[..., None])[..., 0] if b.ndim == a.ndim - 1 else solve(a, b)
+
+        m = model_at(0.13)
+        expected = spectrum_scan(m, -1.0, 1.0, n_points).S
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        assert np.array_equal(spectrum_scan(m, -1.0, 1.0, n_points).S, expected)
+
     def test_singular_point_is_named(self):
         # A with a zero eigenvalue makes i*omega*I + A singular at omega = 0 only.
         m = dataclasses.replace(model_at(0.13), drift_A=np.diag([0.0, 1.0, 1.0, 1.0]))
