@@ -78,7 +78,7 @@ def _write_json(path: Path, obj) -> None:
 def _write_manifest(out: Path, command: str, params: dict, seed: int,
                     argv: list, outputs: list, wall: float) -> None:
     name = command.replace("-", "_") + "_manifest.json"
-    _write_json(out / name, {
+    doc = {
         "command": command,
         "parameters": params,
         "seed": seed,
@@ -86,7 +86,10 @@ def _write_manifest(out: Path, command: str, params: dict, seed: int,
         "argv": argv,
         "outputs": outputs,
         "wall_time_s": wall,
-    })
+    }
+    if "rel_tol" in params:  # the commands that take --rel-tol are those that integrate
+        doc["integrator"] = semiclassics.INTEGRATOR
+    _write_json(out / name, doc)
 
 
 def _load_config(path) -> dict:
@@ -605,7 +608,7 @@ _OPTIONS = (
     _Option("simulate", "--beta0", _complex, "0.1", help="e.g. '0.4j' or '0.1+0.2j'"),
     _Option("simulate", "--alpha0", _complex, "0"),
     _Option("simulate", "--t-final", _float, 100.0, *_POSITIVE),
-    _Option("simulate", "--n-samples", int, 2000),
+    _Option("simulate", "--n-samples", int, 2000, lambda v: v >= 1, "must be >= 1"),
     _Option("simulate limit-cycle figure1", "--rel-tol", _float,
             lambda p: os.environ.get("SELFPULSE_DEFAULT_TOL", DEFAULT_REL_TOL),
             help="default $SELFPULSE_DEFAULT_TOL, else 1e-9"),

@@ -9,9 +9,10 @@ chi, epsilon); everything downstream is unit-free.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +21,14 @@ from .errors import DomainError
 # Reduced Planck constant, J*s.  Kept as a named constant so scaled-unit
 # examples can pass hbar=1 explicitly; only the realization maps need it.
 HBAR = 1.0546e-34
+
+
+def _require_finite(obj) -> None:
+    """Raise DomainError unless every field of the dataclass ``obj`` is finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not cmath.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,7 @@ class SystemParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "epsilon", "chi", "nbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self)
         # kappa = 0 is admitted so the undamped conservation oracle can run;
         # operations that divide by kappa enforce positivity themselves.
         if self.kappa < 0:
@@ -83,6 +90,7 @@ class AtomRealization:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.Delta == 0:
             raise DomainError("atom-cavity detuning Delta must be nonzero")
         if not (self.nu > 0):
@@ -106,6 +114,7 @@ class MembraneRealization:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.nu > 0):
             raise DomainError(f"mechanical frequency nu must be > 0, got {self.nu}")
         if not (self.mass > 0):

@@ -19,6 +19,20 @@ from .model import SemiclassicalState, SystemParams
 #: |Re(lambda)| below which an eigenvalue pair counts as marginal.
 MARGINAL_TOL = 1e-8
 
+#: The scipy solver behind ``integrate``, recorded in run manifests.
+INTEGRATOR = "DOP853"
+
+#: Accepted integration steps after which ``integrate`` gives up.  The
+#: longest run in the package and its tests takes under 5000; this many
+#: take about 9 s on a 2-core host and hold about 30 MB of interpolants.
+MAX_STEPS = 40_000
+
+#: Swing of beta_r, relative to the segment's largest |state| component,
+#: below which ``detect_limit_cycle`` reports no cycle.  Integration noise
+#: about a stable fixed point sits near 1e-10 at the default tolerances;
+#: the smallest cycle any command measures swings by about 1e-1.
+CYCLE_AMPLITUDE_FLOOR = 1e-6
+
 #: Column names of every time-sampled state table.
 TRAJECTORY_HEADER = ("t", "beta_r", "beta_i", "alpha_r", "alpha_i")
 
@@ -96,7 +110,7 @@ def integrate(
     n_samples: int = 2000,
     t_eval=None,
 ) -> Trajectory:
-    """Integrate the semiclassical equations with an adaptive RK 5(4) pair.
+    """Integrate the semiclassical equations with the adaptive DOP853 8(5,3) pair.
 
     Parameters
     ----------
@@ -107,12 +121,15 @@ def integrate(
     rel_tol, abs_tol : float
         Tolerances, each in (0, 1e-2].
     n_samples : int
-        Number of uniformly spaced output samples when ``t_eval`` is None.
+        Number (>= 1) of uniformly spaced output samples when ``t_eval`` is None.
+    t_eval : array_like, optional
+        Increasing output times within ``t_span``, in place of ``n_samples``.
 
     Raises
     ------
     NumericalError
-        On integrator failure (carries the time reached).
+        On integrator failure, or when ``MAX_STEPS`` accepted steps do not
+        reach ``t_span[1]`` (carries the time reached).
     """
     if isinstance(state0, SemiclassicalState):
         y0 = state0.to_vector()
@@ -127,24 +144,36 @@ def integrate(
         if not (0.0 < tol <= 1e-2):
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
     if t_eval is None:
+        if int(n_samples) < 1:
+            raise DomainError(f"n_samples must be >= 1, got {n_samples}")
         t_eval = np.linspace(t0, t1, int(n_samples))
+    times = np.asarray(t_eval, dtype=float)
+    if not (times.size and t0 <= times.min() and times.max() <= t1):
+        raise DomainError(f"output times must be non-empty and lie within t_span {t_span}")
 
-    from scipy.integrate import solve_ivp  # deferred: a start-up cost most commands never use
+    # deferred: a start-up cost most commands never use
+    from scipy.integrate import DOP853, OdeSolution
 
-    sol = solve_ivp(
-        lambda t, y: vector_field(y, params),
-        (t0, t1),
-        y0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=np.asarray(t_eval, dtype=float),
-        dense_output=True,
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else t0
-        raise NumericalError(f"integration failed: {sol.message}", time_reached=reached)
-    return Trajectory(times=sol.t, y=sol.y.T.copy(), params=params, dense=sol.sol)
+    # The steps of scipy's solve_ivp, with the step count bounded.
+    solver = DOP853(lambda t, y: vector_field(y, params), t0, y0, t1,
+                    rtol=rel_tol, atol=abs_tol)
+    ts, interpolants = [t0], []
+    for _ in range(MAX_STEPS):
+        message = solver.step()
+        if solver.status == "failed":
+            raise NumericalError(f"integration failed: {message}", time_reached=solver.t)
+        ts.append(solver.t)
+        interpolants.append(solver.dense_output())
+        if solver.status == "finished":
+            break
+    else:
+        raise NumericalError(
+            f"integration stopped after {MAX_STEPS} steps at t={solver.t:.6g} "
+            f"of {t1:.6g}; shorten t_span or loosen the tolerances",
+            time_reached=solver.t,
+        )
+    dense = OdeSolution(ts, interpolants)
+    return Trajectory(times=times, y=dense(times).T.copy(), params=params, dense=dense)
 
 
 @dataclass(frozen=True)
@@ -312,7 +341,10 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     (the critical point has beta_r0 = 0, so the section passes through
     the cycle's interior).  Crossing times are refined by bisection on
     the dense output.  The measurement counts as converged when
-    successive crossing states agree to 1e-4 relative.
+    successive crossing states agree to 1e-4 relative and the swing
+    ``amplitude_beta_r`` exceeds ``CYCLE_AMPLITUDE_FLOOR`` times the
+    largest |state| component of the segment, so that integration noise
+    about a stable fixed point, however regular, is never a cycle.
 
     Returns ``converged=False`` with nan period when no crossings are
     found (fixed-point regime).
@@ -361,13 +393,15 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     # Component scales from the whole segment: the section coordinate is
     # ~0 at every crossing and must not wreck the relative comparison.
     scale = np.max(np.abs(ys), axis=0)
+    amplitude = 0.5 * float(br.max() - br.min())
+    swings = amplitude > CYCLE_AMPLITUDE_FLOOR * scale.max()
     scale[scale == 0.0] = 1.0
     rel_jump = np.max(np.abs(np.diff(states, axis=0)) / scale, axis=1)
-    converged = bool(np.all(rel_jump[-min(5, len(rel_jump)):] <= 1e-4))
+    converged = bool(swings and np.all(rel_jump[-min(5, len(rel_jump)):] <= 1e-4))
 
     return LimitCycleMeasurement(
         period=period,
-        amplitude_beta_r=0.5 * float(br.max() - br.min()),
+        amplitude_beta_r=amplitude,
         amplitude_alpha_r=0.5 * float(ar.max() - ar.min()),
         mean_beta_i=float(np.mean(ys[:, 1])),
         mean_alpha_i=float(np.mean(ys[:, 3])),

@@ -356,6 +356,11 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     ss_res = float(((var - fit) ** 2).sum())
     ss_tot = float(((var - var.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    if r2 < 0.9:
+        raise NumericalError(
+            f"variance growth is not linear (R^2 = {r2:.3f} < 0.9); the diffusion "
+            "regime assumption is violated for this configuration"
+        )
 
     # Resample b holds member i W[b, i] times (the same draws as indexing
     # dphi with them), so its sums of y and y^2 are W @ y and W @ (y*y).
@@ -369,12 +374,6 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     mean = (W @ y) / n
     boot_var = (W @ (y * y) - n * mean**2) / (n - 1)
     stderr = float(((boot_var @ t) / (t @ t)).std(ddof=1))
-
-    if r2 < 0.9:
-        raise NumericalError(
-            f"variance growth is not linear (R^2 = {r2:.3f} < 0.9); the diffusion "
-            "regime assumption is violated for this configuration"
-        )
     scale = record.noise_scale if record.noise_scale > 0 else 1.0
     return PhaseDiffusionFit(
         d_phi_hat=d_hat,

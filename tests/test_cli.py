@@ -12,11 +12,12 @@ from selfpulse import __version__
 CLI = [sys.executable, "-m", "selfpulse"]
 
 
-def run_cli(args, cwd=None, env=None):
+def run_cli(args, cwd=None, env=None, timeout=None):
     e = dict(os.environ)
     if env:
         e.update(env)
-    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=e)
+    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd, env=e,
+                          timeout=timeout)
 
 
 def outputs_of(manifest_path):
@@ -63,6 +64,8 @@ class TestExitCodes:
         ["fixed-point", "--config", {"kappa": "x"}],
         ["spectrum", "--config", {"elements": ["33"]}],
         ["fixed-point", "--config", {"kapa": 2.0}],  # unknown key
+        ["simulate", "--n-samples", "0"],
+        ["simulate", "--n-samples", "-1"],
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -137,6 +140,29 @@ class TestSimulateCommand:
         # scaled system over twice the span, reported at original times
         assert np.allclose(a[:, 0], b[:, 0] / 2.0)
         assert np.allclose(a[:, 1:], b[:, 1:], atol=1e-9)
+
+    def test_unbounded_run_exits_2_within_step_budget(self, tmp_path):
+        r = run_cli(["simulate", "--t-final", "1e9", "--out", str(tmp_path)], timeout=120)
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [r.stderr.strip()]
+        assert "integration stopped after" in r.stderr
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("args, manifest, integrator", [
+    (["simulate", "--t-final", "1", "--n-samples", "5"], "simulate_manifest.json", "DOP853"),
+    (["limit-cycle", "--delta-eps", "0.002", "--t-periods", "30"],
+     "limit_cycle_manifest.json", "DOP853"),
+    (["figure1", "--pairs", "1.0,0.0", "--delta-eps-fracs", "0"],
+     "figure1_manifest.json", "DOP853"),
+    (["fixed-point"], "fixed_point_manifest.json", None),
+], ids=["simulate", "limit-cycle", "figure1", "fixed-point"])
+def test_manifest_names_the_integrator(tmp_path, args, manifest, integrator):
+    from selfpulse.cli import main
+
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    man = json.loads((tmp_path / manifest).read_text())
+    assert man.get("integrator") == integrator
 
 
 class TestSpectrumCommand:
@@ -333,7 +359,8 @@ class TestReplay:
         lambda path: {"argv": "fixed-point"},
         lambda path: {"argv": ["fixed-point", "--kappa=1"], "version": "0.0.0"},
         lambda path: {"argv": ["replay", str(path)], "version": __version__},
-    ], ids=["list", "argv-string", "wrong-version", "replays-itself"])
+        lambda path: {"argv": ["simulate", "--t-final=1"], "version": "0.1.0"},
+    ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853"])
     def test_malformed_manifest_exits_1(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest(path)))

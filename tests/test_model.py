@@ -73,6 +73,18 @@ class TestCouplingStrength:
         with pytest.raises(DomainError):
             self._atom(k_wave=0.1, g=1.0, Delta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        atom = dict(g=10.0, Delta=100.0, nu=1.0, mass=HBAR / 2.0, k_wave=0.1,
+                    epsilon_c=1.0, delta=0.0)
+        membrane = dict(mass=2.0, nu=3.0, curvature=5.0, epsilon_c=1.0, delta=0.0)
+        for cls, good in ((AtomRealization, atom), (MembraneRealization, membrane)):
+            for name in good:
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    cls(**{**good, name: bad})
+            with pytest.raises(DomainError, match="epsilon_c must be finite"):
+                cls(**{**good, "epsilon_c": complex(1.0, bad)})
+
 
 class TestSteadyCavityAmplitude:
     def test_no_drive(self):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from selfpulse import (
     DomainError,
+    NumericalError,
     SystemParams,
+    Trajectory,
     classify_fixed_point,
     detect_limit_cycle,
     fixed_point,
@@ -16,8 +18,10 @@ from selfpulse import (
     hopf_threshold,
     integrate,
     jacobian,
+    predict_limit_cycle,
     vector_field,
 )
+from selfpulse import semiclassics
 from selfpulse.semiclassics import cubic_residual
 
 # strategies for well-conditioned parameter draws
@@ -269,6 +273,37 @@ class TestIntegrate:
             mapped = np.column_stack([-a.y[:, 0], -a.y[:, 1], a.y[:, 2], a.y[:, 3]])
             assert np.allclose(b.y, mapped, atol=1e-7)
 
+    def test_step_budget_refuses_long_runs(self, monkeypatch):
+        p = params_at(1.0, 0.1, 0.2)
+        monkeypatch.setattr(semiclassics, "MAX_STEPS", 50)
+        with pytest.raises(NumericalError, match="after 50 steps") as exc:
+            integrate([0.1, 0.0, 0.0, 0.0], p, (0.0, 1e4))
+        assert 0.0 < exc.value.time_reached < 1e4
+        traj = integrate([0.1, 0.0, 0.0, 0.0], p, (0.0, 1.0))
+        assert len(traj.dense.ts) - 1 <= 50
+
+    def test_output_times_validation(self):
+        p = params_at(1.0, 0.1, 0.2)
+        for t_eval in ([], [0.0, 2.0], [-1.0, 0.5]):
+            with pytest.raises(DomainError, match="output times"):
+                integrate(np.zeros(4), p, (0.0, 1.0), t_eval=t_eval)
+        for n_samples in (0, -1):
+            with pytest.raises(DomainError, match="n_samples"):
+                integrate(np.zeros(4), p, (0.0, 1.0), n_samples=n_samples)
+
+    def test_default_tolerances_agree_with_tight_run_above_threshold(self):
+        # second route: the same integrator at rel_tol = 1e-13 as the reference
+        kappa, gamma = 1.0, 0.1
+        hp = hopf_threshold(kappa, gamma)
+        deps = 0.05 * hp.epsilon_h
+        pred = predict_limit_cycle(kappa, gamma, deps)
+        p = params_at(kappa, gamma, hp.epsilon_h + deps)
+        T = 2.0 * math.pi / pred.omega_h
+        y0 = pred.orbit(0.0)[0]
+        a = integrate(y0, p, (0.0, 20.0 * T), n_samples=1200)
+        b = integrate(y0, p, (0.0, 20.0 * T), rel_tol=1e-13, abs_tol=1e-15, n_samples=1200)
+        assert np.max(np.abs(a.y - b.y)) <= 1e-7 * np.max(np.abs(b.y))
+
 
 class TestDetectLimitCycle:
     def test_no_cycle_below_threshold(self):
@@ -279,6 +314,24 @@ class TestDetectLimitCycle:
         traj = integrate(y0, p, (0.0, 40.0 * T), n_samples=2400)
         meas = detect_limit_cycle(traj)
         assert not meas.converged
+
+    @pytest.mark.parametrize("amplitude, converged", [(1e-11, False), (1e-1, True)])
+    def test_amplitude_floor(self, amplitude, converged):
+        # a perfectly periodic wiggle about the fixed point, exact between samples
+        p = params_at(1.0, 0.1, 0.13)
+        fp = fixed_point(p).to_vector()
+        omega = hopf_frequency(1.0, 0.1)
+
+        def state(t):
+            c, s = np.cos(omega * t), np.sin(omega * t)
+            return fp + amplitude * np.stack([c, s, s, -c], axis=-1)
+
+        times = np.linspace(0.0, 40.0 * 2.0 * math.pi / omega, 2400)
+        traj = Trajectory(times=times, y=state(times), params=p, dense=state)
+        meas = detect_limit_cycle(traj)
+        assert meas.n_crossings >= 10
+        assert meas.amplitude_beta_r == pytest.approx(amplitude, rel=1e-3)
+        assert meas.converged is converged
 
     def test_period_matches_prediction_near_threshold(self):
         kappa, gamma = 1.0, 0.0

@@ -369,6 +369,17 @@ class TestMeasurePhaseDiffusion:
         with pytest.raises(NumericalError, match="not linear"):
             measure_phase_diffusion(synthetic_record(phases, times))
 
+    def test_rejected_record_draws_no_bootstrap(self, monkeypatch):
+        def no_draws(seed, member):
+            raise AssertionError("bootstrap drawn for a rejected record")
+
+        monkeypatch.setattr("selfpulse.stochastic.member_rng", no_draws)
+        times = np.arange(501) * 0.1
+        xi = np.random.default_rng(8).standard_normal((300, 1))
+        phases = (1.0 - np.exp(-times / 2.0))[None, :] * xi
+        with pytest.raises(NumericalError, match="not linear"):
+            measure_phase_diffusion(synthetic_record(phases, times))
+
     @pytest.mark.parametrize("mode, noise_scale, burn_in", [
         ("reduced", 1.0, 0.0), ("full", 1e-3, 2.0)])
     def test_bootstrap_matches_per_resample_loop(self, mode, noise_scale, burn_in):
