@@ -151,10 +151,9 @@ def _run_simulate(p: dict, out: Path) -> list:
         y0, scaled, (0.0, p["t_final"] * chi),
         rel_tol=p["rel_tol"], abs_tol=p["abs_tol"], n_samples=p["n_samples"],
     )
-    if chi != 1.0:
-        traj = semiclassics.Trajectory(times=traj.times / chi, y=traj.y,
-                                       params=params, dense=None)
-    traj.to_csv(out / "trajectory.csv")
+    # times back in the caller's units; dividing by chi = 1 is exact
+    write_csv(out / "trajectory.csv", semiclassics.TRAJECTORY_HEADER,
+              np.column_stack([traj.times / chi, traj.y]))
     print(f"wrote trajectory.csv ({len(traj.times)} samples)")
     return ["trajectory.csv"]
 
@@ -358,6 +357,7 @@ def _run_figure1(p: dict, out: Path) -> list:
     summary = []
     for idx, ((kappa, gamma), panel) in enumerate(zip(p["pairs"], panels)):
         curves = []
+        data_files = []
         for q, item in enumerate(panel):
             num_name = f"figure1_panel{idx}_deps{q}_numerical.csv"
             pred_name = f"figure1_panel{idx}_deps{q}_predicted.csv"
@@ -371,26 +371,18 @@ def _run_figure1(p: dict, out: Path) -> list:
                                 label=label, dashed=False))
             curves.append(Curve(x=item["predicted"][:, 0], y=item["predicted"][:, 2],
                                 label="", dashed=True))
+            data_files += [(num_name, label, "2:4", False), (pred_name, "predicted", "2:4", True)]
             summary.append({
                 "panel": idx, "kappa": kappa, "gamma": gamma,
                 "delta_eps": item["delta_eps"],
                 "mean_radial_gap_over_A": item["overlap"],
                 "period": item["period"],
             })
-        if p.get("gnuplot"):
+        if p["gnuplot"]:
             gp_name = f"figure1_panel{idx}.gp"
-            data_files = []
-            styles = []
-            for q, item in enumerate(panel):
-                data_files.append((f"figure1_panel{idx}_deps{q}_numerical.csv",
-                                   f"deps={item['delta_eps']:.4g}", "2:4"))
-                styles.append("lines")
-                data_files.append((f"figure1_panel{idx}_deps{q}_predicted.csv",
-                                   "predicted", "2:4"))
-                styles.append("dashed")
             gnuplot_script(out / gp_name, data_files,
                            title=f"kappa={kappa:g}, gamma={gamma:g}",
-                           xlabel="beta_r", ylabel="alpha_r", styles=styles)
+                           xlabel="beta_r", ylabel="alpha_r")
             outputs.append(gp_name)
         else:
             svg_name = f"figure1_panel{idx}.svg"
@@ -424,9 +416,9 @@ def _run_figure2(p: dict, out: Path) -> list:
                             y=np.abs(result.S[pos, 2, 2]),
                             label=f"eps={eps:g}"))
         peaks[f"eps={eps:g}"] = _peak_or_note(result, 2, 2)
-    if p.get("gnuplot"):
+    if p["gnuplot"]:
         gnuplot_script(out / "figure2.gp",
-                       [(name, f"eps={eps:g}", "1:4")
+                       [(name, f"eps={eps:g}", "1:4", False)
                         for name, eps in zip(outputs, p["eps_list"])],
                        title=f"|S33|, kappa={p['kappa']:g}, gamma={p['gamma']:g}",
                        xlabel="omega", ylabel="|S33|")

@@ -70,31 +70,22 @@ def vector_field(y, params: SystemParams) -> np.ndarray:
 class Trajectory:
     """Sampled solution of the semiclassical equations.
 
-    ``y`` has shape (n, 4) in the canonical ordering; ``dense`` is a
-    callable t -> state usable for event refinement between samples.
+    ``y`` has shape (n, 4) in the canonical ordering, sampled at ``times``;
+    ``dense`` is the solution between samples, a callable t -> state (the
+    integrator's ``OdeSolution``), on which ``detect_limit_cycle`` finds
+    its section crossings.
     """
 
     times: np.ndarray
     y: np.ndarray
     params: SystemParams
-    dense: object = None
+    dense: object
 
     def __post_init__(self):
         if len(self.times) != len(self.y):
             raise DomainError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("times must be strictly increasing")
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.y[:, 0] + 1j * self.y[:, 1]
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.y[:, 2] + 1j * self.y[:, 3]
-
-    def state(self, i: int) -> SemiclassicalState:
-        return SemiclassicalState.from_vector(self.y[i])
 
     def to_csv(self, path) -> None:
         """Write `t,beta_r,beta_i,alpha_r,alpha_i` at full double precision."""
@@ -339,8 +330,10 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
 
     The Poincare section is beta_r = 0 crossed with alpha_r increasing
     (the critical point has beta_r0 = 0, so the section passes through
-    the cycle's interior).  Crossing times are refined by bisection on
-    the dense output.  The measurement counts as converged when
+    the cycle's interior).  One vectorised pass over the samples finds
+    the crossings, each either a sample on the section or a bracket of
+    two samples of opposite beta_r, which Brent's method refines on
+    ``traj.dense``.  The measurement counts as converged when
     successive crossing states agree to 1e-4 relative and the swing
     ``amplitude_beta_r`` exceeds ``CYCLE_AMPLITUDE_FLOOR`` times the
     largest |state| component of the segment, so that integration noise
@@ -367,13 +360,21 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     ar = ys[:, 2]
 
     # At beta_r = 0 the flow gives dalpha_r/dt = -(kappa/2) alpha_r, so
-    # "alpha_r increasing" is exactly alpha_r < 0 on the section.
-    crossings = []
-    for i in range(len(ts) - 1):
-        if br[i] == 0.0 and ar[i] < 0.0:
-            crossings.append(ts[i])
-        elif br[i] * br[i + 1] < 0.0 and 0.5 * (ar[i] + ar[i + 1]) < 0.0:
-            crossings.append(_refine_crossing(traj, ts[i], ts[i + 1]))
+    # "alpha_r increasing" is exactly alpha_r < 0 on the section.  A sample
+    # on the section is a crossing as it stands; a sign change of beta_r
+    # between two samples brackets one, located on the dense output to
+    # 1e-14 * max(1, |t|).
+    on = (br[:-1] == 0.0) & (ar[:-1] < 0.0)
+    across = (br[:-1] * br[1:] < 0.0) & (0.5 * (ar[:-1] + ar[1:]) < 0.0)
+    # deferred, as in integrate; scipy.integrate has already loaded it
+    from scipy.optimize import brentq
+
+    def beta_r(t):
+        return traj.dense(t)[0]
+
+    crossings = [ts[i] if on[i] else
+                 brentq(beta_r, ts[i], ts[i + 1], xtol=1e-14 * max(1.0, abs(ts[i + 1])))
+                 for i in np.flatnonzero(on | across)]
 
     if len(crossings) < 2:
         return LimitCycleMeasurement(
@@ -389,7 +390,7 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
 
     tc = np.asarray(crossings)
     period = float(np.mean(np.diff(tc)))
-    states = np.array([traj.dense(t) if traj.dense is not None else _nearest(traj, t) for t in tc])
+    states = np.array([traj.dense(t) for t in tc])
     # Component scales from the whole segment: the section coordinate is
     # ~0 at every crossing and must not wreck the relative comparison.
     scale = np.max(np.abs(ys), axis=0)
@@ -410,24 +411,3 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
         crossing_times=tc,
     )
 
-
-def _refine_crossing(traj: Trajectory, ta: float, tb: float) -> float:
-    """Bisection for beta_r(t) = 0 on the dense output."""
-    if traj.dense is None:
-        return 0.5 * (ta + tb)
-    f = lambda t: traj.dense(t)[0]
-    fa = f(ta)
-    for _ in range(80):
-        tm = 0.5 * (ta + tb)
-        fm = f(tm)
-        if fm == 0.0 or (tb - ta) < 1e-13 * max(1.0, abs(tm)):
-            return tm
-        if (fa < 0.0) == (fm < 0.0):
-            ta, fa = tm, fm
-        else:
-            tb = tm
-    return 0.5 * (ta + tb)
-
-
-def _nearest(traj: Trajectory, t: float) -> np.ndarray:
-    return traj.y[np.argmin(np.abs(traj.times - t))]

@@ -19,7 +19,6 @@ class Curve:
     y: object
     label: str = ""
     dashed: bool = False
-    color: str = None
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -92,7 +91,7 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
                    f'text-anchor="end" font-family="sans-serif">{t:.4g}</text>')
 
     for idx, c in enumerate(curves):
-        color = c.color or _COLORS[idx % len(_COLORS)]
+        color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="6,4"' if c.dashed else ""
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(c.x, c.y))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -113,7 +112,7 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
     for idx, c in enumerate(curves):
         if not c.label:
             continue
-        color = c.color or _COLORS[idx % len(_COLORS)]
+        color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="6,4"' if c.dashed else ""
         lx = _MARGIN_L + plot_w - 150
         out.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 24:.2f}" y2="{ly - 4:.2f}" '
@@ -128,9 +127,12 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
 
 
 def gnuplot_script(path, data_files, *, title: str = "", xlabel: str = "",
-                   ylabel: str = "", styles=None) -> None:
-    """Emit a plot script referencing already-written data files."""
-    styles = styles or ["lines"] * len(data_files)
+                   ylabel: str = "") -> None:
+    """Emit a plot script referencing already-written data files.
+
+    ``data_files`` holds one ``(file name, label, columns, dashed)`` entry
+    per curve.
+    """
     lines = [
         "set datafile separator ','",
         f"set title '{title}'",
@@ -139,8 +141,8 @@ def gnuplot_script(path, data_files, *, title: str = "", xlabel: str = "",
         "set key top right",
     ]
     plots = []
-    for (fname, label, cols), style in zip(data_files, styles):
-        dash = " dashtype 2" if style == "dashed" else ""
+    for fname, label, cols, dashed in data_files:
+        dash = " dashtype 2" if dashed else ""
         plots.append(f"'{fname}' using {cols} with lines{dash} title '{label}'")
     lines.append("plot " + ", \\\n     ".join(plots))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

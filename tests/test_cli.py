@@ -360,7 +360,9 @@ class TestReplay:
         lambda path: {"argv": ["fixed-point", "--kappa=1"], "version": "0.0.0"},
         lambda path: {"argv": ["replay", str(path)], "version": __version__},
         lambda path: {"argv": ["simulate", "--t-final=1"], "version": "0.1.0"},
-    ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853"])
+        lambda path: {"argv": ["limit-cycle", "--kappa=1"], "version": "0.2.0"},
+    ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853",
+            "before-brentq"])
     def test_malformed_manifest_exits_1(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest(path)))
@@ -387,6 +389,22 @@ class TestOutputModes:
         script = (tmp_path / "figure2.gp").read_text()
         assert "spectrum_eps0.05.csv" in script
         assert not (tmp_path / "figure2.svg").exists()
+
+    def test_figure1_gnuplot_script(self, tmp_path):
+        r = run_cli(["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0.05",
+                     "--t-periods", "30", "--gnuplot", "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "figure1_panel0.gp").read_bytes() == (
+            b"set datafile separator ','\n"
+            b"set title 'kappa=1, gamma=0.1'\n"
+            b"set xlabel 'beta_r'\n"
+            b"set ylabel 'alpha_r'\n"
+            b"set key top right\n"
+            b"plot 'figure1_panel0_deps0_numerical.csv' using 2:4 with lines "
+            b"title 'deps=0.01112', \\\n"
+            b"     'figure1_panel0_deps0_predicted.csv' using 2:4 with lines dashtype 2 "
+            b"title 'predicted'\n")
+        assert not (tmp_path / "figure1_panel0.svg").exists()
 
 
 class TestConfigPrecedence:

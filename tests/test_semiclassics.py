@@ -33,6 +33,39 @@ def params_at(kappa, gamma, epsilon):
     return SystemParams(kappa=kappa, gamma=gamma, epsilon=epsilon)
 
 
+def _reference_crossings(traj, transient_fraction=0.5):
+    """Section crossing times by a loop over samples and an 80-step bisection.
+
+    The route ``detect_limit_cycle`` took before its vectorised pass, kept
+    as an independent reference.
+    """
+    t0, t1 = traj.times[0], traj.times[-1]
+    sel = traj.times >= t0 + transient_fraction * (t1 - t0)
+    ts, br, ar = traj.times[sel], traj.y[sel, 0], traj.y[sel, 2]
+    crossings = []
+    for i in range(len(ts) - 1):
+        if br[i] == 0.0 and ar[i] < 0.0:
+            crossings.append(ts[i])
+        elif br[i] * br[i + 1] < 0.0 and 0.5 * (ar[i] + ar[i + 1]) < 0.0:
+            crossings.append(_reference_bisection(lambda t: traj.dense(t)[0], ts[i], ts[i + 1]))
+    return np.asarray(crossings)
+
+
+def _reference_bisection(f, ta, tb):
+    """Midpoint of a sign-change bracket of f halved below 1e-13 * max(1, |t|)."""
+    fa = f(ta)
+    for _ in range(80):
+        tm = 0.5 * (ta + tb)
+        fm = f(tm)
+        if fm == 0.0 or (tb - ta) < 1e-13 * max(1.0, abs(tm)):
+            return tm
+        if (fa < 0.0) == (fm < 0.0):
+            ta, fa = tm, fm
+        else:
+            tb = tm
+    return 0.5 * (ta + tb)
+
+
 class TestVectorField:
     def test_origin_is_equilibrium_without_drive(self):
         p = params_at(1.0, 0.1, 0.0)
@@ -346,6 +379,40 @@ class TestDetectLimitCycle:
         meas = detect_limit_cycle(traj)
         assert meas.converged
         assert meas.period == pytest.approx(T, rel=0.02)
+
+    def test_crossings_match_bisection_reference(self):
+        # a criterion-3 orbit: k=0.5, g=0.5 at 1% above threshold, 150 periods
+        kappa, gamma = 0.5, 0.5
+        hp = hopf_threshold(kappa, gamma)
+        deps = 0.01 * hp.epsilon_h
+        pred = predict_limit_cycle(kappa, gamma, deps)
+        T = 2.0 * math.pi / pred.omega_h
+        p = params_at(kappa, gamma, hp.epsilon_h + deps)
+        traj = integrate(pred.orbit(0.0)[0], p, (0.0, 150.0 * T), n_samples=7500)
+        meas = detect_limit_cycle(traj)
+        ref = _reference_crossings(traj)
+        assert meas.converged
+        assert meas.n_crossings == len(ref) >= 70
+        assert np.all(np.abs(meas.crossing_times - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_sample_on_the_section_is_a_crossing(self):
+        # beta_r(0) = 0 exactly with alpha_r(0) < 0: the first sample is itself a crossing
+        p = params_at(1.0, 0.1, 0.13)
+        omega = hopf_frequency(1.0, 0.1)
+
+        def state(t):
+            c, s = np.cos(omega * t), np.sin(omega * t)
+            return 0.1 * np.stack([s, c, -c, s], axis=-1)
+
+        times = np.linspace(0.0, 20.5 * 2.0 * math.pi / omega, 1230)
+        traj = Trajectory(times=times, y=state(times), params=p, dense=state)
+        meas = detect_limit_cycle(traj, transient_fraction=0.0)
+        ref = _reference_crossings(traj, transient_fraction=0.0)
+        assert traj.y[0, 0] == 0.0 and traj.y[0, 2] < 0.0
+        assert meas.crossing_times[0] == ref[0] == 0.0
+        assert meas.n_crossings == len(ref) == 21
+        assert meas.period == pytest.approx(2.0 * math.pi / omega, rel=1e-12)
+        assert meas.converged
 
     def test_span_precondition(self):
         p = params_at(1.0, 0.1, 0.1)
