@@ -2,7 +2,7 @@
 Hopf bifurcation, center-manifold limit-cycle prediction, linearized quantum
 noise spectra and on-cycle phase diffusion."""
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .errors import DomainError, NumericalError, SelfPulseError, ThresholdError
 from .model import (

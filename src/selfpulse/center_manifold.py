@@ -43,7 +43,6 @@ class CMCoefficients:
     A2: float
     B2: float
     C2: float
-    denominator_D: float
     source: str  # "tangency-solve" or "printed-formula"
     residual: float = 0.0
 
@@ -123,7 +122,6 @@ def cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
     A1, B1, C1, A2, B2, C2 = w
     return CMCoefficients(
         A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2,
-        denominator_D=cm_denominator(kappa, gamma),
         source="tangency-solve",
         residual=residual,
     )
@@ -146,8 +144,7 @@ def closed_form_cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
     B2 = -8.0 * (2.0 * g + 3.0 * k) * root * k**2 * (2.0 * k + 5.0 * g) / D
     C2 = 8.0 * (k + 2.0 * g) * (5.0 * k + 2.0 * g) * k * (k + g) * (2.0 * g + 3.0 * k) / D
     return CMCoefficients(
-        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2,
-        denominator_D=D, source="printed-formula",
+        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2, source="printed-formula",
     )
 
 
@@ -327,8 +324,6 @@ class LimitCyclePrediction:
     """
 
     kappa: float
-    gamma: float
-    delta_epsilon: float
     amplitude_A: float
     omega_h: float
     beta_i0h: float
@@ -371,8 +366,6 @@ def predict_limit_cycle(kappa: float, gamma: float, delta_epsilon: float) -> Lim
     A = math.sqrt(d * delta_epsilon / abs(a))
     return LimitCyclePrediction(
         kappa=kappa,
-        gamma=gamma,
-        delta_epsilon=delta_epsilon,
         amplitude_A=A,
         omega_h=hopf_frequency(kappa, gamma),
         beta_i0h=hp.beta_i0h,

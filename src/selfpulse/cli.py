@@ -32,7 +32,7 @@ from . import center_manifold as cm
 from . import noise, semiclassics, stochastic
 from .csvio import write_csv
 from .errors import DomainError, SelfPulseError
-from .model import SystemParams, rescale_to_unit_chi
+from .model import SemiclassicalState, SystemParams, rescale_to_unit_chi
 from .svg import Curve, gnuplot_script, render_svg
 
 DEFAULT_REL_TOL = 1e-9
@@ -104,15 +104,6 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
 # ---------------------------------------------------------------------------
 # fixed-point
 # ---------------------------------------------------------------------------
@@ -146,9 +137,9 @@ def _run_simulate(p: dict, out: Path) -> list:
                           epsilon=p["epsilon"], chi=p["chi"])
     chi = params.chi
     scaled = rescale_to_unit_chi(params) if chi != 1.0 else params
-    y0 = [p["beta0"].real, p["beta0"].imag, p["alpha0"].real, p["alpha0"].imag]
     traj = semiclassics.integrate(
-        y0, scaled, (0.0, p["t_final"] * chi),
+        SemiclassicalState(alpha=p["alpha0"], beta=p["beta0"]), scaled,
+        (0.0, p["t_final"] * chi),
         rel_tol=p["rel_tol"], abs_tol=p["abs_tol"], n_samples=p["n_samples"],
     )
     # times back in the caller's units; dividing by chi = 1 is exact
@@ -178,8 +169,7 @@ def _run_hopf(p: dict, out: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _measure_cycle(kappa: float, gamma: float, delta_eps: float, t_periods: float,
-                   rel_tol: float, n_per_period: int = 60,
-                   transient_fraction: float = 0.5):
+                   rel_tol: float, transient_fraction: float = 0.5):
     """Integrate from the predicted orbit and measure the settled cycle."""
     hp = semiclassics.hopf_threshold(kappa, gamma)
     pred = cm.predict_limit_cycle(kappa, gamma, delta_eps)
@@ -188,7 +178,7 @@ def _measure_cycle(kappa: float, gamma: float, delta_eps: float, t_periods: floa
     t_final = t_periods * period0
     traj = semiclassics.integrate(
         pred.orbit(0.0)[0], params, (0.0, t_final), rel_tol=rel_tol,
-        n_samples=max(2000, int(t_periods * n_per_period)),
+        n_samples=max(2000, int(t_periods * 60)),  # 60 samples per period
     )
     meas = semiclassics.detect_limit_cycle(traj, transient_fraction=transient_fraction)
     sel = traj.times >= traj.times[0] + transient_fraction * (traj.times[-1] - traj.times[0])
@@ -351,7 +341,13 @@ def _figure1_panel(task):
 def _run_figure1(p: dict, out: Path) -> list:
     tasks = [(k, g, tuple(p["fracs"]), p["t_periods"], p["rel_tol"])
              for k, g in p["pairs"]]
-    panels = _pmap(_figure1_panel, tasks, p["jobs"])
+    if p["jobs"] > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
+
+        with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
+            panels = list(ex.map(_figure1_panel, tasks))
+    else:
+        panels = [_figure1_panel(task) for task in tasks]
 
     outputs = []
     summary = []
@@ -401,12 +397,13 @@ def _run_figure1(p: dict, out: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_figure2(p: dict, out: Path) -> list:
-    params = SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=0.0)
     outputs = []
     curves = []
     peaks = {}
     for eps in p["eps_list"]:
-        model = noise.linear_noise_model(params, epsilon=eps)  # ThresholdError names eps_h
+        # a drive at or beyond threshold raises ThresholdError, which names eps_h
+        model = noise.linear_noise_model(
+            SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=eps))
         result = noise.spectrum_scan(model, p["omega_min"], p["omega_max"], p["n_points"])
         name = f"spectrum_eps{eps:g}.csv"
         noise.spectrum_to_csv(result, out / name)
@@ -456,13 +453,12 @@ _SWEEP_QUANTITIES = {
 }
 
 
-def _sweep_point(task):
+def _sweep_point(kappa: float, gamma: float, quantities: list, delta_eps: float):
     """One grid row, and its warnings as {(category, file, line): first message}.
 
     The interpreter's warning filters still apply: ``-W error`` makes a
     warning fail the sweep, and ``-W ignore`` leaves nothing to record.
     """
-    kappa, gamma, quantities, delta_eps = task
     row = {"kappa": kappa, "gamma": gamma}
     with warnings.catch_warnings(record=True) as log:
         for q in quantities:
@@ -474,9 +470,8 @@ def _sweep_point(task):
 
 
 def _run_sweep(p: dict, out: Path) -> list:
-    tasks = [(k, g, tuple(p["quantities"]), p["delta_eps"])
-             for k in p["kappa_grid"] for g in p["gamma_grid"]]
-    results = _pmap(_sweep_point, tasks, p["jobs"])
+    results = [_sweep_point(k, g, p["quantities"], p["delta_eps"])
+               for k in p["kappa_grid"] for g in p["gamma_grid"]]
     rows = [row for row, _ in results]
     header = ["kappa", "gamma"] + list(p["quantities"])
     write_csv(out / "sweep.csv", header, ([row[h] for h in header] for row in rows))
@@ -641,10 +636,10 @@ _OPTIONS = (
             lambda v: set(v) <= set(_SWEEP_QUANTITIES), "has an unknown quantity",
             help=f"comma-separated from {', '.join(_SWEEP_QUANTITIES)}"),
     _Option(_ALL, "--seed", int, 0, help="64-bit PRNG seed"),
-    _Option(_ALL, "--jobs", int, 1, lambda v: v >= 1, "must be >= 1",
-            help="parallel workers"),
-    _Option(_ALL, "--format", str, "json",
-            lambda v: v in ("csv", "json"), "must be csv or json",
+    _Option("figure1", "--jobs", int, 1, lambda v: v >= 1, "must be >= 1",
+            help="parallel workers, one panel each"),
+    _Option("fixed-point hopf limit-cycle spectrum phase-diffusion figure2", "--format",
+            str, "json", lambda v: v in ("csv", "json"), "must be csv or json",
             help="stdout echo format, csv or json; output files keep their formats"),
 )
 

@@ -19,8 +19,6 @@ from .csvio import write_csv
 from .errors import DomainError, NumericalError, ThresholdError
 from .semiclassics import FixedPoint, SystemParams, fixed_point, hopf_threshold
 
-ORDERING = ("d_beta", "d_beta_dag", "d_alpha", "d_alpha_dag")
-
 #: Tolerance for the realness assertion at the fixed point.
 REALNESS_TOL = 1e-14
 
@@ -32,12 +30,9 @@ class LinearNoiseModel:
     drift_A: np.ndarray
     diffusion_D: np.ndarray
     fixed_point: FixedPoint
-    params: SystemParams
-    epsilon: float
-    ordering: tuple = ORDERING
 
 
-def linear_noise_model(params: SystemParams, epsilon: float = None) -> LinearNoiseModel:
+def linear_noise_model(params: SystemParams) -> LinearNoiseModel:
     """Assemble the linearized noise model at the critical point.
 
     Valid only below threshold; a drive at or beyond epsilon_h raises
@@ -45,13 +40,9 @@ def linear_noise_model(params: SystemParams, epsilon: float = None) -> LinearNoi
     and the stationary spectrum is undefined).  Within 1% of threshold
     a warning is emitted.
     """
-    if epsilon is None:
-        epsilon = params.epsilon
-    else:
-        params = SystemParams(kappa=params.kappa, gamma=params.gamma,
-                              epsilon=epsilon, chi=params.chi, nbar=params.nbar)
     if params.chi != 1.0:
         raise DomainError("linear_noise_model requires chi == 1; rescale_to_unit_chi first")
+    epsilon = params.epsilon
     eps_h = hopf_threshold(params.kappa, params.gamma).epsilon_h
     if abs(epsilon) >= eps_h:
         raise ThresholdError(
@@ -67,19 +58,18 @@ def linear_noise_model(params: SystemParams, epsilon: float = None) -> LinearNoi
         )
 
     fp = fixed_point(params)
-    chi = params.chi
     beta0 = 1j * fp.beta_i0
     alpha0 = 1j * fp.alpha_i0
     g2 = params.gamma / 2.0
     k2 = params.kappa / 2.0
     # Stability matrix of the doubled-space equations; A is its negative.
     M = np.array([
-        [-g2, 2j * chi * alpha0, 2j * chi * np.conj(beta0), 0.0],
-        [-2j * chi * np.conj(alpha0), -g2, 0.0, -2j * chi * beta0],
-        [2j * chi * beta0, 0.0, -k2, 0.0],
-        [0.0, -2j * chi * np.conj(beta0), 0.0, -k2],
+        [-g2, 2j * alpha0, 2j * np.conj(beta0), 0.0],
+        [-2j * np.conj(alpha0), -g2, 0.0, -2j * beta0],
+        [2j * beta0, 0.0, -k2, 0.0],
+        [0.0, -2j * np.conj(beta0), 0.0, -k2],
     ])
-    D = np.diag([2j * chi * alpha0, -2j * chi * np.conj(alpha0), 0.0, 0.0])
+    D = np.diag([2j * alpha0, -2j * np.conj(alpha0), 0.0, 0.0])
 
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M.imag)) > REALNESS_TOL * scale or np.max(np.abs(D.imag)) > REALNESS_TOL:
@@ -88,8 +78,7 @@ def linear_noise_model(params: SystemParams, epsilon: float = None) -> LinearNoi
     Dr = D.real
     if np.min(np.diag(Dr)) < 0.0:
         raise NumericalError("diffusion matrix has a negative diagonal entry")
-    return LinearNoiseModel(drift_A=A, diffusion_D=Dr, fixed_point=fp,
-                            params=params, epsilon=epsilon)
+    return LinearNoiseModel(drift_A=A, diffusion_D=Dr, fixed_point=fp)
 
 
 def spectrum(model: LinearNoiseModel, omega) -> np.ndarray:
@@ -122,8 +111,6 @@ def spectrum(model: LinearNoiseModel, omega) -> np.ndarray:
 class SpectrumResult:
     omega_grid: np.ndarray
     S: np.ndarray  # shape (n, 4, 4), complex
-    params: SystemParams
-    epsilon: float
 
 
 def spectrum_scan(model: LinearNoiseModel, omega_min: float, omega_max: float,
@@ -141,7 +128,7 @@ def spectrum_scan(model: LinearNoiseModel, omega_min: float, omega_max: float,
         raise DomainError("omega_max must exceed omega_min")
     grid = np.linspace(omega_min, omega_max, int(n_points))
     S = spectrum(model, grid[:, None, None])
-    return SpectrumResult(omega_grid=grid, S=S, params=model.params, epsilon=model.epsilon)
+    return SpectrumResult(omega_grid=grid, S=S)
 
 
 @dataclass(frozen=True)
@@ -206,8 +193,6 @@ class PhaseDiffusionConstant:
     value: float            # exact ratio s/(2 A^2) with s = 1/kappa
     prefactor: float        # 99/(272 sqrt(2)) ~ 0.25737
     rounded_value: float    # two-digit prefactor 0.26 widely quoted
-    s: float
-    amplitude_sq: float
 
 
 def phase_diffusion_constant(kappa: float, delta_epsilon: float,
@@ -235,8 +220,6 @@ def phase_diffusion_constant(kappa: float, delta_epsilon: float,
         value=s / (2.0 * amp_sq),
         prefactor=prefactor,
         rounded_value=0.26 * kappa / delta_epsilon,
-        s=s,
-        amplitude_sq=amp_sq,
     )
 
 

@@ -73,7 +73,8 @@ class Trajectory:
     ``y`` has shape (n, 4) in the canonical ordering, sampled at ``times``;
     ``dense`` is the solution between samples, a callable t -> state (the
     integrator's ``OdeSolution``), on which ``detect_limit_cycle`` finds
-    its section crossings.
+    its section crossings.  Like ``OdeSolution``, it maps a scalar time to
+    shape (4,) and an array of m times to shape (4, m).
     """
 
     times: np.ndarray
@@ -390,7 +391,7 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
 
     tc = np.asarray(crossings)
     period = float(np.mean(np.diff(tc)))
-    states = np.array([traj.dense(t) for t in tc])
+    states = traj.dense(tc).T
     # Component scales from the whole segment: the section coordinate is
     # ~0 at every crossing and must not wreck the relative comparison.
     scale = np.max(np.abs(ys), axis=0)

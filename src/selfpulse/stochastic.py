@@ -197,10 +197,6 @@ class PhaseRecord:
     times: np.ndarray
     phases: np.ndarray
     excluded: int
-    mode: str
-    params: SystemParams
-    delta_epsilon: float
-    s: float
     noise_scale: float
     config: SDEConfig
 
@@ -257,8 +253,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         )
 
     s = 1.0 / kappa
-    s_sim = noise_scale * s
-    sig = math.sqrt(s_sim / 2.0)
+    sig = math.sqrt(noise_scale * s / 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # amplitude warning re-checked by callers
         pred = predict_limit_cycle(kappa, gamma, delta_epsilon)
@@ -283,8 +278,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         start = (np.full(n, A_amp), np.zeros(n), np.ones(n, dtype=bool))
         _, _, alive = _euler_maruyama(config, start, step, phases, lambda state: state[1])
         return PhaseRecord(times=times, phases=phases[alive], excluded=int(n - alive.sum()),
-                           mode=mode, params=params, delta_epsilon=delta_epsilon,
-                           s=s, noise_scale=noise_scale, config=config)
+                           noise_scale=noise_scale, config=config)
 
     # full mode
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
@@ -310,9 +304,8 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
 
     _euler_maruyama(config, np.tile(pred.orbit(0.0)[0], (n, 1)), step, phases, unwrapped_phase)
     phases -= phases[:, :1]
-    return PhaseRecord(times=times, phases=phases, excluded=0, mode=mode,
-                       params=params, delta_epsilon=delta_epsilon, s=s,
-                       noise_scale=noise_scale, config=config)
+    return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
+                       config=config)
 
 
 @dataclass(frozen=True)
@@ -343,9 +336,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     if n < 100:
         raise DomainError(f"need >= 100 surviving members, got {n}")
     t = record.times
-    dphi = record.phases - record.phases[:, :1]
-
-    var = dphi.var(axis=0, ddof=1)
+    dphi, var = _phase_variance(record)
     d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
     floor = (1e-12 * max(1.0, float(np.max(np.abs(record.phases))))) ** 2
@@ -385,10 +376,15 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     )
 
 
+def _phase_variance(record: PhaseRecord):
+    """Each member's phase change since the first sample, and its variance across members."""
+    dphi = record.phases - record.phases[:, :1]
+    return dphi, dphi.var(axis=0, ddof=1)
+
+
 def phase_record_to_csv(record: PhaseRecord, path) -> None:
     """Write `t,var_phi,n_effective` for the recorded window."""
-    dphi = record.phases - record.phases[:, :1]
-    var = dphi.var(axis=0, ddof=1)
+    _, var = _phase_variance(record)
     n_eff = record.phases.shape[0]
     write_csv(path, ("t", "var_phi", "n_effective"),
               ((t, v, n_eff) for t, v in zip(record.times, var)))

@@ -66,6 +66,9 @@ class TestExitCodes:
         ["fixed-point", "--config", {"kapa": 2.0}],  # unknown key
         ["simulate", "--n-samples", "0"],
         ["simulate", "--n-samples", "-1"],
+        ["fixed-point", "--jobs", "1"],  # --jobs is a figure1 flag
+        ["simulate", "--format", "json"],  # simulate echoes no report
+        ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:0:1", "--jobs", "2"],
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -213,6 +216,19 @@ class TestFigure1Command:
                                        if r2["panel"] == row["panel"]):
                 assert row["mean_radial_gap_over_A"] <= 0.10
 
+    def test_jobs_parallel_matches_serial(self, tmp_path):
+        # two panels, so --jobs 2 runs them in two worker processes
+        args = ["figure1", "--pairs", "1.0,0.1;0.5,0.5", "--delta-eps-fracs", "0.05",
+                "--t-periods", "30"]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        for jobs, out in (("1", serial), ("2", parallel)):
+            r = run_cli(args + ["--jobs", jobs, "--out", str(out)])
+            assert r.returncode == 0, r.stderr
+        names = outputs_of(serial / "figure1_manifest.json")
+        assert names == outputs_of(parallel / "figure1_manifest.json")
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
     def test_zero_delta_eps_degenerates_to_marker(self, tmp_path):
         r = run_cli(["figure1", "--pairs", "1.0,0.0", "--delta-eps-fracs", "0",
                      "--out", str(tmp_path)])
@@ -240,12 +256,11 @@ class TestSweepCommand:
         assert np.array_equal(data[:, 0], [1, 1, 1, 2, 2, 2])
         assert np.allclose(data[:, 1], [0, 0.25, 0.5, 0, 0.25, 0.5])
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_one_stderr_line_per_warning(self, tmp_path, jobs):
+    def test_one_stderr_line_per_warning(self, tmp_path):
         # gamma > 0.1 kappa at 123 of the 250 points makes d_phi warn at each.
         r = run_cli(["sweep", "--kappa-grid", "0.1:10:50", "--gamma-grid", "0:1:5",
                      "--quantities", "epsilon_h,omega_h,d,a,d_phi", "--delta-eps", "0.01",
-                     "--jobs", jobs, "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
         assert r.returncode == 0, r.stderr
         assert r.stderr.splitlines() == [
             "selfpulse sweep: UserWarning at 123 of 250 points, first: gamma=0.25 is not "
@@ -264,14 +279,6 @@ class TestSweepCommand:
         else:
             assert r.returncode == 0, r.stderr
             assert r.stderr == ""
-
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        args = ["sweep", "--kappa-grid", "0.5:2:3", "--gamma-grid", "0:1:3",
-                "--quantities", "epsilon_h,omega_h,d,a"]
-        run_cli(args + ["--jobs", "1", "--out", str(a_dir)])
-        run_cli(args + ["--jobs", "2", "--out", str(b_dir)])
-        assert (a_dir / "sweep.csv").read_bytes() == (b_dir / "sweep.csv").read_bytes()
 
 
 class TestPhaseDiffusionCommand:
@@ -361,8 +368,9 @@ class TestReplay:
         lambda path: {"argv": ["replay", str(path)], "version": __version__},
         lambda path: {"argv": ["simulate", "--t-final=1"], "version": "0.1.0"},
         lambda path: {"argv": ["limit-cycle", "--kappa=1"], "version": "0.2.0"},
+        lambda path: {"argv": ["fixed-point", "--kappa=1", "--jobs=1"], "version": "0.2.1"},
     ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853",
-            "before-brentq"])
+            "before-brentq", "before-unread-options"])
     def test_malformed_manifest_exits_1(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest(path)))

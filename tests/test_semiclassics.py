@@ -360,7 +360,8 @@ class TestDetectLimitCycle:
             return fp + amplitude * np.stack([c, s, s, -c], axis=-1)
 
         times = np.linspace(0.0, 40.0 * 2.0 * math.pi / omega, 2400)
-        traj = Trajectory(times=times, y=state(times), params=p, dense=state)
+        traj = Trajectory(times=times, y=state(times), params=p,
+                          dense=lambda t: state(t).T)
         meas = detect_limit_cycle(traj)
         assert meas.n_crossings >= 10
         assert meas.amplitude_beta_r == pytest.approx(amplitude, rel=1e-3)
@@ -405,7 +406,8 @@ class TestDetectLimitCycle:
             return 0.1 * np.stack([s, c, -c, s], axis=-1)
 
         times = np.linspace(0.0, 20.5 * 2.0 * math.pi / omega, 1230)
-        traj = Trajectory(times=times, y=state(times), params=p, dense=state)
+        traj = Trajectory(times=times, y=state(times), params=p,
+                          dense=lambda t: state(t).T)
         meas = detect_limit_cycle(traj, transient_fraction=0.0)
         ref = _reference_crossings(traj, transient_fraction=0.0)
         assert traj.y[0, 0] == 0.0 and traj.y[0, 2] < 0.0

@@ -261,7 +261,8 @@ class TestLimitCycleNoise:
         traj = integrate(pred.orbit(0.0)[0], run, (0.0, 60.0 * T), n_samples=3600)
         sel = traj.times >= 0.5 * traj.times[-1]
         u, v = to_normal_form(kappa, gamma, traj.y[sel, 0], traj.y[sel, 2])
-        corrected = (rec.s * scale / 2.0) * float(np.mean(1.0 / (u**2 + v**2))) / scale
+        s = 1.0 / kappa  # the on-cycle noise intensity
+        corrected = (s * scale / 2.0) * float(np.mean(1.0 / (u**2 + v**2))) / scale
 
         # the realized diffusion exceeds both (amplitude-phase shear adds a
         # genuine finite-delta_eps enhancement); both stay loose envelopes
@@ -337,9 +338,7 @@ class TestLimitCycleNoise:
 
 def synthetic_record(phases, times, noise_scale=1.0, seed=0):
     return PhaseRecord(
-        times=times, phases=phases, excluded=0, mode="reduced",
-        params=SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0),
-        delta_epsilon=0.05, s=1.0, noise_scale=noise_scale,
+        times=times, phases=phases, excluded=0, noise_scale=noise_scale,
         config=SDEConfig(dt=float(times[1] - times[0]), n_steps=len(times) - 1,
                          n_ensemble=len(phases), seed=seed),
     )
