@@ -14,8 +14,6 @@ from .model import (
     coupling_strength,
     effective_coupling,
     lamb_dicke,
-    load_params,
-    params_from_dict,
     rescale_to_unit_chi,
     resolved_sideband_check,
     steady_cavity_amplitude,

@@ -18,7 +18,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -34,8 +33,6 @@ from .csvio import write_csv
 from .errors import DomainError, SelfPulseError
 from .model import SemiclassicalState, SystemParams, rescale_to_unit_chi
 from .svg import Curve, gnuplot_script, render_svg
-
-DEFAULT_REL_TOL = 1e-9
 
 
 def _echo(doc: dict, fmt: str) -> None:
@@ -269,7 +266,6 @@ def _run_phase_diffusion(p: dict, out: Path) -> list:
     )
     record = stochastic.simulate_limit_cycle_noise(
         params, p["delta_eps"], config, mode=p["mode"], noise_scale=p["noise_scale"],
-        radial_noise=p["radial_noise"],
     )
     fit = stochastic.measure_phase_diffusion(record)
     analytic = noise.phase_diffusion_constant(p["kappa"], p["delta_eps"], gamma=p["gamma"])
@@ -596,9 +592,7 @@ _OPTIONS = (
     _Option("simulate", "--alpha0", _complex, "0"),
     _Option("simulate", "--t-final", _float, 100.0, *_POSITIVE),
     _Option("simulate", "--n-samples", int, 2000, lambda v: v >= 1, "must be >= 1"),
-    _Option("simulate limit-cycle figure1", "--rel-tol", _float,
-            lambda p: os.environ.get("SELFPULSE_DEFAULT_TOL", DEFAULT_REL_TOL),
-            help="default $SELFPULSE_DEFAULT_TOL, else 1e-9"),
+    _Option("simulate limit-cycle figure1", "--rel-tol", _float, 1e-9),
     _Option("simulate", "--abs-tol", _float, 1e-12),
     _Option("limit-cycle phase-diffusion", "--delta-eps", _float, None, *_POSITIVE),
     _Option("sweep", "--delta-eps", _float, 0.0, help="required > 0 for d_phi"),
@@ -612,7 +606,6 @@ _OPTIONS = (
             lambda v: v in ("reduced", "full"), "must be reduced or full"),
     _Option("phase-diffusion", "--noise-scale", _float,
             lambda p: 1.0 if p["mode"] == "reduced" else 1e-3),
-    _Option("phase-diffusion", "--radial-noise", _switch, False),
     _Option("phase-diffusion", "--n-ensemble", int, 500,
             lambda v: v >= 100, "must be >= 100 for a meaningful fit"),
     _Option("phase-diffusion", "--dt", _float,

@@ -4,13 +4,14 @@ The dynamical core works in scaled units where the parametric coupling
 chi = 1 (time is measured in units of 1/chi).  The two physical
 realizations (trapped atom in a standing wave, membrane in the middle)
 only enter through the map onto the four scaled rates (kappa, gamma,
-chi, epsilon); everything downstream is unit-free.
+chi, epsilon): chi = effective_coupling(coupling_strength(r),
+steady_cavity_amplitude(r.epsilon_c, kappa, r.delta)).  Everything
+downstream is unit-free.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Reduced Planck constant, J*s.  Kept as a named constant so scaled-unit
-# examples can pass hbar=1 explicitly; only the realization maps need it.
+# Reduced Planck constant, J*s; only the realization maps need it.
 HBAR = 1.0546e-34
 
 
@@ -35,6 +35,8 @@ def _require_finite(obj) -> None:
 class SystemParams:
     """The four dynamical rates of the scaled model.
 
+    The mechanical bath is at zero temperature.
+
     Parameters
     ----------
     kappa : float
@@ -45,16 +47,12 @@ class SystemParams:
         Mechanical drive strength (1/time).
     chi : float
         Effective parametric coupling (1/time); 1 after time rescaling.
-    nbar : float
-        Mechanical bath occupation.  Only 0 is supported; nonzero values
-        are rejected rather than silently accepted.
     """
 
     kappa: float
     gamma: float
     epsilon: float
     chi: float = 1.0
-    nbar: float = 0.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -66,8 +64,6 @@ class SystemParams:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
         if not (self.chi > 0):
             raise DomainError(f"chi must be > 0, got {self.chi}")
-        if self.nbar != 0:
-            raise DomainError(f"only a zero-temperature bath is supported, got nbar={self.nbar}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class SidebandCheck:
     margin: float
 
 
-def lamb_dicke(k_wave: float, mass: float, nu: float, hbar: float = HBAR) -> float:
+def lamb_dicke(k_wave: float, mass: float, nu: float) -> float:
     """Lamb-Dicke parameter k*sqrt(hbar/(2*m*nu)).
 
     Raises
@@ -160,10 +156,10 @@ def lamb_dicke(k_wave: float, mass: float, nu: float, hbar: float = HBAR) -> flo
         raise DomainError(f"mass must be > 0, got {mass}")
     if not (nu > 0):
         raise DomainError(f"nu must be > 0, got {nu}")
-    return k_wave * math.sqrt(hbar / (2.0 * mass * nu))
+    return k_wave * math.sqrt(HBAR / (2.0 * mass * nu))
 
 
-def coupling_strength(realization, hbar: float = HBAR) -> float:
+def coupling_strength(realization) -> float:
     """Quadratic optomechanical coupling G for either realization.
 
     Atom: G = eta^2 g^2 / Delta with eta the Lamb-Dicke parameter.
@@ -171,11 +167,11 @@ def coupling_strength(realization, hbar: float = HBAR) -> float:
     """
     if isinstance(realization, AtomRealization):
         r = realization
-        eta = lamb_dicke(r.k_wave, r.mass, r.nu, hbar=hbar)
+        eta = lamb_dicke(r.k_wave, r.mass, r.nu)
         return eta**2 * r.g**2 / r.Delta
     if isinstance(realization, MembraneRealization):
         r = realization
-        return hbar / (4.0 * r.nu * r.mass) * r.curvature
+        return HBAR / (4.0 * r.nu * r.mass) * r.curvature
     raise DomainError(f"unsupported realization type: {type(realization).__name__}")
 
 
@@ -209,7 +205,6 @@ def rescale_to_unit_chi(params: SystemParams) -> SystemParams:
         gamma=params.gamma / c,
         epsilon=params.epsilon / c,
         chi=1.0,
-        nbar=params.nbar,
     )
 
 
@@ -221,92 +216,3 @@ def resolved_sideband_check(nu: float, kappa: float) -> SidebandCheck:
         raise DomainError(f"kappa must be > 0, got {kappa}")
     margin = 2.0 * nu / kappa
     return SidebandCheck(resolved=margin > 1.0, margin=margin)
-
-
-_PARAM_KEYS = {"kappa", "gamma", "chi", "epsilon", "nbar", "realization"}
-_ATOM_KEYS = {"type", "g", "Delta", "nu", "mass", "k_wave", "epsilon_c", "delta"}
-_MEMBRANE_KEYS = {"type", "mass", "nu", "curvature", "epsilon_c", "delta"}
-
-
-def _as_complex(value):
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-def _realization_from_dict(block: dict):
-    kind = block.get("type")
-    if kind == "atom":
-        unknown = set(block) - _ATOM_KEYS
-        if unknown:
-            raise DomainError(f"unknown realization keys: {sorted(unknown)}")
-        return AtomRealization(
-            g=float(block["g"]),
-            Delta=float(block["Delta"]),
-            nu=float(block["nu"]),
-            mass=float(block["mass"]),
-            k_wave=float(block["k_wave"]),
-            epsilon_c=_as_complex(block["epsilon_c"]),
-            delta=float(block["delta"]),
-        )
-    if kind == "membrane":
-        unknown = set(block) - _MEMBRANE_KEYS
-        if unknown:
-            raise DomainError(f"unknown realization keys: {sorted(unknown)}")
-        return MembraneRealization(
-            mass=float(block["mass"]),
-            nu=float(block["nu"]),
-            curvature=float(block["curvature"]),
-            epsilon_c=_as_complex(block["epsilon_c"]),
-            delta=float(block["delta"]),
-        )
-    raise DomainError(f"realization type must be 'atom' or 'membrane', got {kind!r}")
-
-
-def params_from_dict(doc: dict) -> SystemParams:
-    """Build SystemParams from a flat key-value document.
-
-    Recognized keys: kappa, gamma, chi, epsilon, nbar, realization.
-    Unknown keys are an error.  When a realization block is present the
-    effective coupling it implies must agree with an explicit ``chi``
-    key, if one is given.
-    """
-    unknown = set(doc) - _PARAM_KEYS
-    if unknown:
-        raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = {"kappa", "gamma", "epsilon"} - set(doc)
-    if missing:
-        raise DomainError(f"missing parameter keys: {sorted(missing)}")
-
-    chi = doc.get("chi")
-    if "realization" in doc:
-        r = _realization_from_dict(doc["realization"])
-        G = coupling_strength(r)
-        alpha_bar = steady_cavity_amplitude(r.epsilon_c, float(doc["kappa"]), r.delta)
-        chi_derived = effective_coupling(G, alpha_bar)
-        if chi is not None and not math.isclose(float(chi), chi_derived, rel_tol=1e-9, abs_tol=0.0):
-            raise DomainError(
-                f"explicit chi={chi} conflicts with realization-derived chi={chi_derived!r}"
-            )
-        chi = chi_derived
-    if chi is None:
-        chi = 1.0
-
-    return SystemParams(
-        kappa=float(doc["kappa"]),
-        gamma=float(doc["gamma"]),
-        epsilon=float(doc["epsilon"]),
-        chi=float(chi),
-        nbar=float(doc.get("nbar", 0.0)),
-    )
-
-
-def load_params(path) -> SystemParams:
-    """Load SystemParams from a JSON file (see ``params_from_dict``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DomainError("parameter file must contain a JSON object")
-    return params_from_dict(doc)

@@ -216,7 +216,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     knocks every member off the cycle, so the default simulates the
     on-cycle phase equation with deterministic radial relaxation.
     With ``radial_noise`` enabled, members whose radius collapses to
-    zero are flagged and excluded.
+    zero are flagged and excluded; mode="full" ignores it.
 
     mode="full" integrates the 4-dim semiclassical flow with the same
     white noise injected along the center-plane directions of the

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+_N_TICKS = 5
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -21,10 +23,10 @@ class Curve:
     dashed: bool = False
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / _N_TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -39,8 +41,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return ticks
 
 
-def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 640, height: int = 480) -> None:
+def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Render polyline curves with axes, ticks and a small legend."""
     xs = [float(v) for c in curves for v in c.x]
     ys = [float(v) for c in curves for v in c.y]
@@ -57,8 +58,8 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -68,10 +69,10 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" '
         f'height="{plot_h:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
@@ -98,10 +99,10 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
                    f'stroke-width="1.5"{dash}/>')
 
     if title:
-        out.append(f'<text x="{width / 2:.2f}" y="18" font-size="13" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.2f}" y="18" font-size="13" text-anchor="middle" '
                    f'font-family="sans-serif">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 8:.2f}" '
+        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" '
                    f'font-size="12" text-anchor="middle" font-family="sans-serif">{xlabel}</text>')
     if ylabel:
         cx, cy = 14.0, _MARGIN_T + plot_h / 2

@@ -39,8 +39,9 @@ from selfpulse import (
     stationary_covariance,
     to_normal_form,
 )
-from selfpulse.center_manifold import manifold_point
 from selfpulse.semiclassics import detect_limit_cycle
+
+from cm_oracles import manifold_point
 
 FIGURE1_PAIRS = [(1.0, 0.0), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)]
 

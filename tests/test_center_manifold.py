@@ -22,12 +22,15 @@ from selfpulse import (
 )
 from selfpulse.center_manifold import (
     center_block,
-    closed_form_cm_coefficients,
-    cm_denominator,
     lyapunov_coefficient_numeric,
-    manifold_point,
     normal_form_cubics,
     trace_derivative,
+)
+
+from cm_oracles import (
+    closed_form_cm_coefficients,
+    cm_denominator,
+    manifold_point,
     trace_of_epsilon,
 )
 

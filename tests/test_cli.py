@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,7 @@ class TestExitCodes:
         ["fixed-point", "--jobs", "1"],  # --jobs is a figure1 flag
         ["simulate", "--format", "json"],  # simulate echoes no report
         ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:0:1", "--jobs", "2"],
+        ["phase-diffusion", "--delta-eps", "0.05", "--radial-noise"],  # not a CLI switch
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -345,6 +348,9 @@ class TestReplay:
          "sweep_manifest.json"),
         (["fixed-point", "--config", {"kappa": 2, "gamma": 0, "epsilon": 0.5}],
          "fixed_point_manifest.json"),
+        (["simulate", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.1",
+          "--t-final", "5", "--n-samples", "10", "--rel-tol", "1e-6"],
+         "simulate_manifest.json"),  # the recorded argv pins a non-default rel-tol
     ])
     def test_byte_identical_outputs(self, tmp_path, args, manifest):
         args = with_config_files(args, tmp_path)
@@ -434,20 +440,21 @@ class TestConfigPrecedence:
         man = json.loads((tmp_path / "fixed_point_manifest.json").read_text())
         assert man["parameters"]["epsilon"] == 0.07
 
-
-class TestEnvTolerance:
-    def test_env_var_sets_rel_tol_and_replay_pins_it(self, tmp_path):
-        first = tmp_path / "first"
+    def test_environment_sets_no_default(self, tmp_path):
         r = run_cli(["simulate", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.1",
-                     "--t-final", "5", "--n-samples", "10", "--out", str(first)],
+                     "--t-final", "5", "--n-samples", "10", "--out", str(tmp_path)],
                     env={"SELFPULSE_DEFAULT_TOL": "1e-6"})
-        assert r.returncode == 0
-        man = json.loads((first / "simulate_manifest.json").read_text())
-        assert man["parameters"]["rel_tol"] == 1e-6
-        # replay without the env var reproduces bytes (argv pins rel-tol)
-        replay_dir = tmp_path / "replayed"
-        r2 = run_cli(["replay", str(first / "simulate_manifest.json"),
-                      "--out", str(replay_dir)])
-        assert r2.returncode == 0
-        assert ((first / "trajectory.csv").read_bytes()
-                == (replay_dir / "trajectory.csv").read_bytes())
+        assert r.returncode == 0, r.stderr
+        man = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert man["parameters"]["rel_tol"] == 1e-9
+        assert "--rel-tol=1e-09" in man["argv"]
+
+
+def test_package_reads_no_environment():
+    """Every setting is a flag or config key, so the manifest records it and
+    replay reproduces it; the environment is no hidden third source."""
+    src = Path(__file__).resolve().parent.parent / "src" / "selfpulse"
+    readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\b(environb?|getenvb?)\b", line)]
+    assert readers == []

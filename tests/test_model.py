@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,8 +17,6 @@ from selfpulse import (
     effective_coupling,
     integrate,
     lamb_dicke,
-    load_params,
-    params_from_dict,
     rescale_to_unit_chi,
     resolved_sideband_check,
     steady_cavity_amplitude,
@@ -178,17 +175,13 @@ class TestSystemParams:
             SystemParams(kappa=1.0, gamma=-0.1, epsilon=0.0)
         with pytest.raises(DomainError):
             SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0, chi=0.0)
-        for name in ("kappa", "gamma", "epsilon", "chi", "nbar"):
+        for name in ("kappa", "gamma", "epsilon", "chi"):
             for bad in (math.nan, math.inf, -math.inf):
                 kwargs = {"kappa": 1.0, "gamma": 0.0, "epsilon": 0.0, name: bad}
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
                     SystemParams(**kwargs)
         # kappa = 0 admitted for the undamped conservation flow
         SystemParams(kappa=0.0, gamma=0.0, epsilon=0.0)
-
-    def test_nonzero_nbar_rejected_loudly(self):
-        with pytest.raises(DomainError, match="nbar"):
-            SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0, nbar=0.5)
 
 
 class TestStateVector:
@@ -203,46 +196,7 @@ class TestStateVector:
 
 
 class TestParamsLoading:
-    def test_flat_document(self):
-        p = params_from_dict({"kappa": 1.0, "gamma": 0.1, "epsilon": 0.13})
-        assert p == SystemParams(kappa=1.0, gamma=0.1, epsilon=0.13)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(DomainError, match="unknown"):
-            params_from_dict({"kappa": 1.0, "gamma": 0.0, "epsilon": 0.0, "kapa": 2.0})
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(DomainError, match="missing"):
-            params_from_dict({"kappa": 1.0, "epsilon": 0.0})
-
-    def test_atom_realization_derives_chi(self):
-        doc = {
-            "kappa": 1.0, "gamma": 0.1, "epsilon": 0.13,
-            "realization": {
-                "type": "atom", "g": 10.0, "Delta": 100.0, "nu": 1.0,
-                "mass": HBAR / 2.0, "k_wave": 0.1, "epsilon_c": "50j", "delta": 0.0,
-            },
-        }
-        p = params_from_dict(doc)
-        ab = steady_cavity_amplitude(50j, 1.0, 0.0)
-        assert p.chi == pytest.approx(0.01 * abs(ab), rel=1e-12)
-
-    def test_conflicting_chi_rejected(self):
-        doc = {
-            "kappa": 1.0, "gamma": 0.1, "epsilon": 0.13, "chi": 5.0,
-            "realization": {
-                "type": "membrane", "mass": 1.0, "nu": 1.0, "curvature": 1.0,
-                "epsilon_c": 1.0, "delta": 0.0,
-            },
-        }
-        with pytest.raises(DomainError, match="conflicts"):
-            params_from_dict(doc)
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps({"kappa": 2.0, "gamma": 0.0, "epsilon": 1.0, "chi": 2.0}))
-        p = load_params(path)
-        assert p.kappa == 2.0 and p.chi == 2.0
+    """A realization reaches SystemParams only through its effective coupling chi."""
 
     def test_realizations_with_equal_chi_give_equal_params(self):
         # model equivalence: agreeing G*|alpha_bar| implies the same scaled system
