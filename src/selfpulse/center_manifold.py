@@ -43,8 +43,7 @@ class CMCoefficients:
     A2: float
     B2: float
     C2: float
-    source: str  # "tangency-solve" or "printed-formula"
-    residual: float = 0.0
+    residual: float
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
@@ -114,9 +113,7 @@ def cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
         )
     A1, B1, C1, A2, B2, C2 = w
     return CMCoefficients(
-        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2,
-        source="tangency-solve",
-        residual=residual,
+        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2, residual=residual,
     )
 
 
@@ -242,13 +239,12 @@ def lyapunov_coefficient_numeric(kappa: float, gamma: float, cm: CMCoefficients 
     return (3.0 * Nu[0] + Nu[2] + Nv[1] + 3.0 * Nv[3]) / 8.0
 
 
-def lyapunov_coefficient(kappa: float, gamma: float, cross_check: bool = True) -> float:
+def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     """Cubic radial coefficient a (negative: the bifurcation is supercritical).
 
-    Evaluates the closed form and, unless ``cross_check`` is disabled,
-    compares it against the numeric route through the tangency solve;
-    disagreement beyond 1e-6 relative emits a warning but the closed
-    form is still returned.
+    Closed form in (kappa, gamma).  ``lyapunov_coefficient_numeric`` is
+    the independent route through the tangency solve, and ``cm_report``
+    reports both.
     """
     if not (kappa > 0):
         raise DomainError(f"kappa must be > 0, got {kappa}")
@@ -259,16 +255,7 @@ def lyapunov_coefficient(kappa: float, gamma: float, cross_check: bool = True) -
     den = 4.0 * (
         128.0 * k**2 * g**4 + 480.0 * k**3 * g**3 + 51.0 * k**6 + 284.0 * k**5 * g + 576.0 * k**4 * g**2
     )
-    a = -num / den
-    if cross_check:
-        a_num = lyapunov_coefficient_numeric(kappa, gamma)
-        if abs(a_num - a) > 1e-6 * abs(a):
-            warnings.warn(
-                f"closed-form a={a!r} and numeric a={a_num!r} disagree beyond 1e-6 relative "
-                f"at kappa={kappa}, gamma={gamma}; returning the closed form",
-                stacklevel=2,
-            )
-    return a
+    return -num / den
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +311,7 @@ def predict_limit_cycle(kappa: float, gamma: float, delta_epsilon: float) -> Lim
             stacklevel=2,
         )
     d = radial_growth_rate(kappa, gamma)
-    a = lyapunov_coefficient(kappa, gamma, cross_check=False)
+    a = lyapunov_coefficient(kappa, gamma)
     A = math.sqrt(d * delta_epsilon / abs(a))
     return LimitCyclePrediction(
         kappa=kappa,
@@ -349,7 +336,7 @@ def cm_report(kappa: float, gamma: float) -> dict:
         "alpha_i0h": hp.alpha_i0h,
         "coefficients": cm.as_dict(),
         "d": radial_growth_rate(kappa, gamma),
-        "a": lyapunov_coefficient(kappa, gamma, cross_check=False),
+        "a": lyapunov_coefficient(kappa, gamma),
         "a_numeric": lyapunov_coefficient_numeric(kappa, gamma, cm),
         "omega_h": hopf_frequency(kappa, gamma),
         "epsilon_h": hp.epsilon_h,

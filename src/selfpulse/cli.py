@@ -21,6 +21,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -47,7 +48,7 @@ def _echo(doc: dict, fmt: str) -> None:
         for key, val in flat("", doc):
             print(f"{key},{val}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,19 +58,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, command: str, params: dict, seed: int,
@@ -113,9 +103,7 @@ def _run_fixed_point(p: dict, out: Path) -> list:
         "kappa": p["kappa"],
         "gamma": p["gamma"],
         "epsilon": p["epsilon"],
-        "beta_i0": fp.beta_i0,
-        "alpha_i0": fp.alpha_i0,
-        "residual": fp.residual,
+        **asdict(fp),
         "classification": report.classification,
         "max_real_part": report.max_real_part,
         "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
@@ -133,9 +121,9 @@ def _run_simulate(p: dict, out: Path) -> list:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"],
                           epsilon=p["epsilon"], chi=p["chi"])
     chi = params.chi
-    scaled = rescale_to_unit_chi(params) if chi != 1.0 else params
     traj = semiclassics.integrate(
-        SemiclassicalState(alpha=p["alpha0"], beta=p["beta0"]), scaled,
+        SemiclassicalState(alpha=p["alpha0"], beta=p["beta0"]).to_vector(),
+        rescale_to_unit_chi(params),
         (0.0, p["t_final"] * chi),
         rel_tol=p["rel_tol"], abs_tol=p["abs_tol"], n_samples=p["n_samples"],
     )
@@ -229,8 +217,7 @@ def _run_limit_cycle(p: dict, out: Path) -> list:
 
 def _peak_or_note(result, i: int, j: int) -> dict:
     try:
-        pk = noise.spectral_peak(result, i, j)
-        return {"omega_peak": pk.omega_peak, "height": pk.height, "fwhm": pk.fwhm}
+        return asdict(noise.spectral_peak(result, i, j))
     except DomainError as exc:
         return {"note": str(exc)}
 
@@ -276,18 +263,9 @@ def _run_phase_diffusion(p: dict, out: Path) -> list:
         "mode": p["mode"],
         "noise_scale": p["noise_scale"],
         "seed": p["seed"],
-        "n_members": fit.n_members,
         "excluded": record.excluded,
-        "d_phi_hat": fit.d_phi_hat,
-        "stderr": fit.stderr,
-        "d_phi_hat_physical": fit.d_phi_hat_physical,
-        "stderr_physical": fit.stderr_physical,
-        "r_squared": fit.r_squared,
-        "analytic": {
-            "value": analytic.value,
-            "prefactor": analytic.prefactor,
-            "rounded_value": analytic.rounded_value,
-        },
+        **asdict(fit),
+        "analytic": asdict(analytic),
     }
     _write_json(out / "phase_diffusion.json", doc)
     stochastic.phase_record_to_csv(record, out / "phase_variance.csv")
@@ -335,7 +313,7 @@ def _figure1_panel(task):
 
 
 def _run_figure1(p: dict, out: Path) -> list:
-    tasks = [(k, g, tuple(p["fracs"]), p["t_periods"], p["rel_tol"])
+    tasks = [(k, g, tuple(p["delta_eps_fracs"]), p["t_periods"], p["rel_tol"])
              for k, g in p["pairs"]]
     if p["jobs"] > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
@@ -442,7 +420,7 @@ _SWEEP_QUANTITIES = {
     "epsilon_h": lambda k, g, de: semiclassics.hopf_threshold(k, g).epsilon_h,
     "omega_h": lambda k, g, de: semiclassics.hopf_frequency(k, g),
     "d": lambda k, g, de: cm.radial_growth_rate(k, g),
-    "a": lambda k, g, de: cm.lyapunov_coefficient(k, g, cross_check=False),
+    "a": lambda k, g, de: cm.lyapunov_coefficient(k, g),
     "beta_i0h": lambda k, g, de: semiclassics.hopf_threshold(k, g).beta_i0h,
     "alpha_i0h": lambda k, g, de: semiclassics.hopf_threshold(k, g).alpha_i0h,
     "d_phi": lambda k, g, de: noise.phase_diffusion_constant(k, de, gamma=g).value,
@@ -541,8 +519,7 @@ class _Option(NamedTuple):
 
     ``default`` is a value, or a function of the options resolved before
     it; None makes the option required.  ``check`` is a range check on the
-    parsed value and ``message`` says what it demands.  ``key`` names the
-    parameter where it differs from the config key.
+    parsed value and ``message`` says what it demands.
     """
 
     commands: str
@@ -551,7 +528,6 @@ class _Option(NamedTuple):
     default: object = None
     check: Callable[[object], bool] = None
     message: str = ""
-    key: str = None
     help: str = None
 
     @property
@@ -616,7 +592,7 @@ _OPTIONS = (
     _Option("figure1", "--pairs", _pairs, "1.0,0.0;1.0,0.1;0.5,0.0;0.5,0.5", *_NON_EMPTY,
             help="'k1,g1;k2,g2;...'"),
     _Option("figure1", "--delta-eps-fracs", _floats, "0.05,0.1,0.2",
-            lambda v: v and min(v) >= 0, "must be non-empty and >= 0", key="fracs",
+            lambda v: v and min(v) >= 0, "must be non-empty and >= 0",
             help="fractions of epsilon_h"),
     _Option("figure2", "--eps-list", _floats, "0.01,0.05,0.13", *_NON_EMPTY,
             help="comma-separated drives"),
@@ -686,7 +662,7 @@ def _resolve(args, config: dict) -> tuple:
             raise DomainError(f"{opt.flag} cannot take {text!r}{hint}: {exc}") from None
         if opt.check is not None and not opt.check(value):
             raise DomainError(f"{opt.flag} {opt.message}, got {text!r}")
-        p[opt.key or opt.name] = value
+        p[opt.name] = value
         if opt.parse is not _switch:
             argv.append(f"{opt.flag}={text}")
         elif value:

@@ -228,9 +228,10 @@ def spectrum_to_csv(result: SpectrumResult, path, extra_pairs=()) -> None:
 
     ``extra_pairs`` holds additional zero-based (i, j) element indices;
     their columns are labelled with the one-based convention, e.g. the
-    pair (0, 1) produces S12_* columns.
+    pair (0, 1) produces S12_* columns.  It must not hold (2, 2), whose
+    columns always come first; ``spectrum --elements`` filters it out.
     """
-    cols = [(2, 2)] + [p for p in extra_pairs if tuple(p) != (2, 2)]
+    cols = [(2, 2)] + list(extra_pairs)
     header = ["omega"]
     table = [result.omega_grid]
     for i, j in cols:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
-from .model import SemiclassicalState, SystemParams
+from .model import SystemParams
 
 #: |Re(lambda)| below which an eigenvalue pair counts as marginal.
 MARGINAL_TOL = 1e-8
@@ -100,22 +100,21 @@ def integrate(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
     n_samples: int = 2000,
-    t_eval=None,
 ) -> Trajectory:
     """Integrate the semiclassical equations with the adaptive DOP853 8(5,3) pair.
 
     Parameters
     ----------
-    state0 : SemiclassicalState or array_like shape (4,)
-        Initial condition.
+    state0 : array_like, shape (4,)
+        Initial state (beta_r, beta_i, alpha_r, alpha_i); convert complex
+        amplitudes with ``SemiclassicalState.to_vector``.
     t_span : (float, float)
         Integration interval; must be finite.
     rel_tol, abs_tol : float
         Tolerances, each in (0, 1e-2].
     n_samples : int
-        Number (>= 1) of uniformly spaced output samples when ``t_eval`` is None.
-    t_eval : array_like, optional
-        Increasing output times within ``t_span``, in place of ``n_samples``.
+        Number (>= 1) of output times, uniformly spaced from ``t_span[0]``
+        to ``t_span[1]`` inclusive.
 
     Raises
     ------
@@ -123,25 +122,18 @@ def integrate(
         On integrator failure, or when ``MAX_STEPS`` accepted steps do not
         reach ``t_span[1]`` (carries the time reached).
     """
-    if isinstance(state0, SemiclassicalState):
-        y0 = state0.to_vector()
-    else:
-        y0 = np.asarray(state0, dtype=float)
-        if y0.shape != (4,):
-            raise DomainError(f"state0 must have 4 components, got shape {y0.shape}")
+    y0 = np.asarray(state0, dtype=float)
+    if y0.shape != (4,):
+        raise DomainError(f"state0 must have 4 components, got shape {y0.shape}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
         raise DomainError(f"t_span must be finite with t1 > t0, got {t_span}")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol <= 1e-2):
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
-    if t_eval is None:
-        if int(n_samples) < 1:
-            raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-        t_eval = np.linspace(t0, t1, int(n_samples))
-    times = np.asarray(t_eval, dtype=float)
-    if not (times.size and t0 <= times.min() and times.max() <= t1):
-        raise DomainError(f"output times must be non-empty and lie within t_span {t_span}")
+    if int(n_samples) < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    times = np.linspace(t0, t1, int(n_samples))
 
     # deferred: a start-up cost most commands never use
     from scipy.integrate import DOP853, OdeSolution
@@ -253,10 +245,8 @@ class StabilityReport:
     max_real_part: float
 
 
-def classify_fixed_point(params: SystemParams, fp: FixedPoint = None) -> StabilityReport:
-    """Eigenvalues and stability class of the critical point."""
-    if fp is None:
-        fp = fixed_point(params)
+def classify_fixed_point(params: SystemParams, fp: FixedPoint) -> StabilityReport:
+    """Eigenvalues and stability class of the critical point ``fp`` of ``params``."""
     ev = np.linalg.eigvals(jacobian(fp, params))
     ev = np.sort_complex(ev)
     mx = float(np.max(ev.real))
@@ -322,8 +312,8 @@ class LimitCycleMeasurement:
     mean_beta_i: float
     mean_alpha_i: float
     converged: bool
-    n_crossings: int = 0
-    crossing_times: np.ndarray = None
+    n_crossings: int
+    crossing_times: np.ndarray
 
 
 def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> LimitCycleMeasurement:

@@ -216,7 +216,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     knocks every member off the cycle, so the default simulates the
     on-cycle phase equation with deterministic radial relaxation.
     With ``radial_noise`` enabled, members whose radius collapses to
-    zero are flagged and excluded; mode="full" ignores it.
+    zero are flagged and excluded; mode="full" rejects it.
 
     mode="full" integrates the 4-dim semiclassical flow with the same
     white noise injected along the center-plane directions of the
@@ -235,6 +235,8 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         raise DomainError(f"delta_epsilon must be > 0, got {delta_epsilon}")
     if mode not in ("reduced", "full"):
         raise DomainError(f"mode must be 'reduced' or 'full', got {mode!r}")
+    if radial_noise and mode == "full":
+        raise DomainError("radial_noise applies to mode='reduced' only")
     if noise_scale < 0:
         raise DomainError(f"noise_scale must be >= 0, got {noise_scale}")
     kappa, gamma = params.kappa, params.gamma
@@ -266,7 +268,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
 
     if mode == "reduced":
         d = radial_growth_rate(kappa, gamma)
-        a = lyapunov_coefficient(kappa, gamma, cross_check=False)
+        a = lyapunov_coefficient(kappa, gamma)
         sig_r = sig if radial_noise else 0.0
 
         def step(state, dw):

@@ -44,7 +44,7 @@ def closed_form_cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
     B2 = -8.0 * (2.0 * g + 3.0 * k) * root * k**2 * (2.0 * k + 5.0 * g) / D
     C2 = 8.0 * (k + 2.0 * g) * (5.0 * k + 2.0 * g) * k * (k + g) * (2.0 * g + 3.0 * k) / D
     return CMCoefficients(
-        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2, source="printed-formula",
+        A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2, residual=0.0,
     )
 
 

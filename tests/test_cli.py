@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfpulse import __version__
+from selfpulse import __version__, cli
 
 CLI = [sys.executable, "-m", "selfpulse"]
 
@@ -241,6 +241,13 @@ class TestFigure1Command:
         assert pred.ndim == 1  # a single marker row
         assert pred[1] == 0.0  # beta_r of the critical point
 
+    def test_manifest_parameters_take_the_option_names(self, tmp_path):
+        r = run_cli(["figure1", "--pairs", "1.0,0.0", "--delta-eps-fracs", "0",
+                     "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        man = json.loads((tmp_path / "figure1_manifest.json").read_text())
+        assert set(man["parameters"]) == {opt.name for opt in cli._options("figure1")}
+
 
 class TestSweepCommand:
     def test_closed_forms_at_gamma_zero(self, tmp_path):
@@ -458,3 +465,17 @@ def test_package_reads_no_environment():
                for n, line in enumerate(path.read_text().splitlines(), 1)
                if re.search(r"\b(environb?|getenvb?)\b", line)]
     assert readers == []
+
+
+def test_benchmark_tracer_finds_every_target(tmp_path):
+    """The benchmark's tracer wraps package functions by name and fails on
+    the first name it cannot find, so a rename breaks this test too."""
+    root = Path(__file__).resolve().parent.parent
+    spans = tmp_path / "spans.json"
+    r = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
+                        "cli", "hopf", "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, cwd=root)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["rc"] == 0
+    assert "center_manifold.cm_report" in {span["name"] for span in doc["spans"]}

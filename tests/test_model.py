@@ -149,7 +149,7 @@ class TestRescale:
 
         ref = solve_ivp(rhs, (0.0, 5.0), y0, rtol=1e-11, atol=1e-13, t_eval=t_phys)
         traj = integrate(y0, q, (0.0, 5.0 * chi), rel_tol=1e-11, abs_tol=1e-13,
-                         t_eval=t_phys * chi)
+                         n_samples=len(t_phys))
         assert np.allclose(traj.y, ref.y.T, atol=1e-7)
 
 

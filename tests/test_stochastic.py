@@ -324,6 +324,8 @@ class TestLimitCycleNoise:
             simulate_limit_cycle_noise(p, -0.1, cycle_config())
         with pytest.raises(DomainError):
             simulate_limit_cycle_noise(p, 0.05, cycle_config(), mode="other")
+        with pytest.raises(DomainError, match="radial_noise"):
+            simulate_limit_cycle_noise(p, 0.05, cycle_config(), mode="full", radial_noise=True)
         for field in ("dt", "burn_in"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
