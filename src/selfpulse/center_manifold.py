@@ -169,14 +169,12 @@ def to_normal_form(kappa: float, gamma: float, beta_r, alpha_r):
     return u, v
 
 
-def reduced_cubics(kappa: float, gamma: float, cm: CMCoefficients = None):
-    """Cubic terms of the flow reduced to the manifold, in (beta_r, alpha_r).
+def reduced_cubics(cm: CMCoefficients):
+    """Cubic terms of the flow reduced to the manifold ``cm``, in (beta_r, alpha_r).
 
     Returns (N1, N3): coefficient vectors over (x^3, x^2 y, x y^2, y^3)
     for the beta_r and alpha_r equations respectively.
     """
-    if cm is None:
-        cm = cm_coefficients(kappa, gamma)
     N1 = 2.0 * np.array([-cm.A2, cm.A1 - cm.B2, cm.B1 - cm.C2, cm.C1])
     N3 = -2.0 * np.array([cm.A1, cm.B1, cm.C1, 0.0])
     return N1, N3
@@ -195,14 +193,14 @@ def _compose_cubic(p: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_form_cubics(kappa: float, gamma: float, cm: CMCoefficients = None):
+def normal_form_cubics(kappa: float, gamma: float, cm: CMCoefficients):
     """Cubic coefficients (Nu, Nv) of the reduced flow in (u, v).
 
     Obtained by explicit polynomial composition of the reduced planar
     cubics with the linear transform; no hand-derived formulas enter.
     The linear part in (u, v) is the rotation [[0, -omega_h], [omega_h, 0]].
     """
-    N1, N3 = reduced_cubics(kappa, gamma, cm)
+    N1, N3 = reduced_cubics(cm)
     b = hopf_threshold(kappa, gamma).beta_i0h
     om = hopf_frequency(kappa, gamma)
     (X, Y), _ = normal_form_transform(kappa, gamma)  # beta_r = X.(u,v), alpha_r = Y.(u,v)
@@ -228,7 +226,7 @@ def trace_derivative(kappa: float, gamma: float) -> float:
     return math.sqrt(8.0 * kappa * (kappa + gamma)) / (3.0 * kappa + 4.0 * gamma)
 
 
-def lyapunov_coefficient_numeric(kappa: float, gamma: float, cm: CMCoefficients = None) -> float:
+def lyapunov_coefficient_numeric(kappa: float, gamma: float, cm: CMCoefficients) -> float:
     """First Lyapunov coefficient from the composed planar cubic system.
 
     For du/dt = -om v + f(u,v), dv/dt = om u + g(u,v) with purely cubic

@@ -62,6 +62,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+class _Outputs:
+    """The output directory; ``out(name)`` returns a path and records ``name`` for the manifest."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.names = []
+
+    def __call__(self, name: str) -> Path:
+        self.names.append(name)
+        return self.root / name
+
+
+def _figure(out: _Outputs, stem: str, gnuplot: bool, curves: list, data_files: list,
+            **labels) -> None:
+    """Plot ``curves`` to ``stem``.svg, or with --gnuplot write ``stem``.gp over ``data_files``."""
+    if gnuplot:
+        gnuplot_script(out(stem + ".gp"), data_files, **labels)
+    else:
+        render_svg(out(stem + ".svg"), curves, **labels)
+
+
 def _write_manifest(out: Path, command: str, params: dict, seed: int,
                     argv: list, outputs: list, wall: float) -> None:
     name = command.replace("-", "_") + "_manifest.json"
@@ -95,7 +116,7 @@ def _load_config(path) -> dict:
 # fixed-point
 # ---------------------------------------------------------------------------
 
-def _run_fixed_point(p: dict, out: Path) -> list:
+def _run_fixed_point(p: dict, out: _Outputs) -> dict:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=p["epsilon"])
     fp = semiclassics.fixed_point(params)
     report = semiclassics.classify_fixed_point(params, fp)
@@ -108,16 +129,15 @@ def _run_fixed_point(p: dict, out: Path) -> list:
         "max_real_part": report.max_real_part,
         "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
     }
-    _write_json(out / "fixed_point.json", doc)
-    _echo(doc, p["format"])
-    return ["fixed_point.json"]
+    _write_json(out("fixed_point.json"), doc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def _run_simulate(p: dict, out: Path) -> list:
+def _run_simulate(p: dict, out: _Outputs) -> None:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"],
                           epsilon=p["epsilon"], chi=p["chi"])
     chi = params.chi
@@ -128,25 +148,23 @@ def _run_simulate(p: dict, out: Path) -> list:
         rel_tol=p["rel_tol"], abs_tol=p["abs_tol"], n_samples=p["n_samples"],
     )
     # times back in the caller's units; dividing by chi = 1 is exact
-    write_csv(out / "trajectory.csv", semiclassics.TRAJECTORY_HEADER,
+    write_csv(out("trajectory.csv"), semiclassics.TRAJECTORY_HEADER,
               np.column_stack([traj.times / chi, traj.y]))
     print(f"wrote trajectory.csv ({len(traj.times)} samples)")
-    return ["trajectory.csv"]
 
 
 # ---------------------------------------------------------------------------
 # hopf
 # ---------------------------------------------------------------------------
 
-def _run_hopf(p: dict, out: Path) -> list:
+def _run_hopf(p: dict, out: _Outputs) -> dict:
     doc = cm.cm_report(p["kappa"], p["gamma"])
     doc["eigenvalues_at_threshold"] = [
         [z.real, z.imag] for z in semiclassics.hopf_eigenvalues(p["kappa"], p["gamma"])
     ]
     doc["trace_derivative"] = cm.trace_derivative(p["kappa"], p["gamma"])
-    _write_json(out / "hopf.json", doc)
-    _echo(doc, p["format"])
-    return ["hopf.json"]
+    _write_json(out("hopf.json"), doc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +190,7 @@ def _measure_cycle(kappa: float, gamma: float, delta_eps: float, t_periods: floa
     return pred, meas, traj, radius
 
 
-def _run_limit_cycle(p: dict, out: Path) -> list:
+def _run_limit_cycle(p: dict, out: _Outputs) -> dict:
     pred, meas, traj, radius = _measure_cycle(
         p["kappa"], p["gamma"], p["delta_eps"], p["t_periods"], p["rel_tol"],
     )
@@ -181,16 +199,8 @@ def _run_limit_cycle(p: dict, out: Path) -> list:
         "kappa": p["kappa"],
         "gamma": p["gamma"],
         "delta_epsilon": p["delta_eps"],
-        "measured": {
-            "period": meas.period,
-            "amplitude_beta_r": meas.amplitude_beta_r,
-            "amplitude_alpha_r": meas.amplitude_alpha_r,
-            "mean_beta_i": meas.mean_beta_i,
-            "mean_alpha_i": meas.mean_alpha_i,
-            "normal_form_amplitude": nf_amp,
-            "converged": meas.converged,
-            "n_crossings": meas.n_crossings,
-        },
+        "measured": {**{k: v for k, v in asdict(meas).items() if k != "crossing_times"},
+                     "normal_form_amplitude": nf_amp},
         "predicted": {
             "amplitude_A": pred.amplitude_A,
             "amplitude_beta_r": pred.amplitude_beta_r,
@@ -205,10 +215,9 @@ def _run_limit_cycle(p: dict, out: Path) -> list:
             / (2.0 * math.pi),
         },
     }
-    _write_json(out / "limit_cycle.json", doc)
-    traj.to_csv(out / "limit_cycle_trajectory.csv")
-    _echo(doc, p["format"])
-    return ["limit_cycle.json", "limit_cycle_trajectory.csv"]
+    _write_json(out("limit_cycle.json"), doc)
+    traj.to_csv(out("limit_cycle_trajectory.csv"))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +231,12 @@ def _peak_or_note(result, i: int, j: int) -> dict:
         return {"note": str(exc)}
 
 
-def _run_spectrum(p: dict, out: Path) -> list:
+def _run_spectrum(p: dict, out: _Outputs) -> dict:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=p["epsilon"])
     model = noise.linear_noise_model(params)
     result = noise.spectrum_scan(model, p["omega_min"], p["omega_max"], p["n_points"])
     extra = [e for e in p["elements"] if e != (2, 2)]
-    noise.spectrum_to_csv(result, out / "spectrum.csv", extra_pairs=extra)
+    noise.spectrum_to_csv(result, out("spectrum.csv"), extra_pairs=extra)
     summary = {
         "kappa": p["kappa"],
         "gamma": p["gamma"],
@@ -236,16 +245,15 @@ def _run_spectrum(p: dict, out: Path) -> list:
         "peaks": {f"S{i + 1}{j + 1}": _peak_or_note(result, i, j)
                   for i, j in [(2, 2)] + extra},
     }
-    _write_json(out / "spectrum_summary.json", summary)
-    _echo(summary, p["format"])
-    return ["spectrum.csv", "spectrum_summary.json"]
+    _write_json(out("spectrum_summary.json"), summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # phase-diffusion
 # ---------------------------------------------------------------------------
 
-def _run_phase_diffusion(p: dict, out: Path) -> list:
+def _run_phase_diffusion(p: dict, out: _Outputs) -> dict:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=0.0)
     config = stochastic.SDEConfig(
         dt=p["dt"], n_steps=int(round(p["t_final"] / p["dt"])),
@@ -267,10 +275,9 @@ def _run_phase_diffusion(p: dict, out: Path) -> list:
         **asdict(fit),
         "analytic": asdict(analytic),
     }
-    _write_json(out / "phase_diffusion.json", doc)
-    stochastic.phase_record_to_csv(record, out / "phase_variance.csv")
-    _echo(doc, p["format"])
-    return ["phase_diffusion.json", "phase_variance.csv"]
+    _write_json(out("phase_diffusion.json"), doc)
+    stochastic.phase_record_to_csv(record, out("phase_variance.csv"))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +319,7 @@ def _figure1_panel(task):
     return panel
 
 
-def _run_figure1(p: dict, out: Path) -> list:
+def _run_figure1(p: dict, out: _Outputs) -> None:
     tasks = [(k, g, tuple(p["delta_eps_fracs"]), p["t_periods"], p["rel_tol"])
              for k, g in p["pairs"]]
     if p["jobs"] > 1 and len(tasks) > 1:
@@ -323,19 +330,16 @@ def _run_figure1(p: dict, out: Path) -> list:
     else:
         panels = [_figure1_panel(task) for task in tasks]
 
-    outputs = []
     summary = []
     for idx, ((kappa, gamma), panel) in enumerate(zip(p["pairs"], panels)):
-        curves = []
-        data_files = []
+        curves, data_files = [], []
         for q, item in enumerate(panel):
             num_name = f"figure1_panel{idx}_deps{q}_numerical.csv"
             pred_name = f"figure1_panel{idx}_deps{q}_predicted.csv"
-            write_csv(out / num_name, semiclassics.TRAJECTORY_HEADER,
+            write_csv(out(num_name), semiclassics.TRAJECTORY_HEADER,
                       np.column_stack([item["times"], item["numerical"]]))
-            write_csv(out / pred_name, semiclassics.TRAJECTORY_HEADER,
+            write_csv(out(pred_name), semiclassics.TRAJECTORY_HEADER,
                       np.column_stack([np.arange(len(item["predicted"])), item["predicted"]]))
-            outputs += [num_name, pred_name]
             label = f"deps={item['delta_eps']:.4g}"
             curves.append(Curve(x=item["numerical"][:, 0], y=item["numerical"][:, 2],
                                 label=label, dashed=False))
@@ -348,56 +352,34 @@ def _run_figure1(p: dict, out: Path) -> list:
                 "mean_radial_gap_over_A": item["overlap"],
                 "period": item["period"],
             })
-        if p["gnuplot"]:
-            gp_name = f"figure1_panel{idx}.gp"
-            gnuplot_script(out / gp_name, data_files,
-                           title=f"kappa={kappa:g}, gamma={gamma:g}",
-                           xlabel="beta_r", ylabel="alpha_r")
-            outputs.append(gp_name)
-        else:
-            svg_name = f"figure1_panel{idx}.svg"
-            render_svg(out / svg_name, curves,
-                       title=f"kappa={kappa:g}, gamma={gamma:g}",
-                       xlabel="beta_r", ylabel="alpha_r")
-            outputs.append(svg_name)
-    _write_json(out / "figure1_summary.json", summary)
-    outputs.append("figure1_summary.json")
-    print(f"wrote {len(outputs)} files for {len(p['pairs'])} panels")
-    return outputs
+        _figure(out, f"figure1_panel{idx}", p["gnuplot"], curves, data_files,
+                title=f"kappa={kappa:g}, gamma={gamma:g}", xlabel="beta_r", ylabel="alpha_r")
+    _write_json(out("figure1_summary.json"), summary)
+    print(f"wrote {len(out.names)} files for {len(p['pairs'])} panels")
 
 
 # ---------------------------------------------------------------------------
 # figure2
 # ---------------------------------------------------------------------------
 
-def _run_figure2(p: dict, out: Path) -> list:
-    outputs = []
-    curves = []
-    peaks = {}
+def _run_figure2(p: dict, out: _Outputs) -> dict:
+    curves, data_files, peaks = [], [], {}
     for eps in p["eps_list"]:
         # a drive at or beyond threshold raises ThresholdError, which names eps_h
         model = noise.linear_noise_model(
             SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=eps))
         result = noise.spectrum_scan(model, p["omega_min"], p["omega_max"], p["n_points"])
         name = f"spectrum_eps{eps:g}.csv"
-        noise.spectrum_to_csv(result, out / name)
-        outputs.append(name)
+        noise.spectrum_to_csv(result, out(name))
         pos = result.omega_grid >= 0.0
         curves.append(Curve(x=result.omega_grid[pos],
                             y=np.abs(result.S[pos, 2, 2]),
                             label=f"eps={eps:g}"))
+        data_files.append((name, f"eps={eps:g}", "1:4", False))
         peaks[f"eps={eps:g}"] = _peak_or_note(result, 2, 2)
-    if p["gnuplot"]:
-        gnuplot_script(out / "figure2.gp",
-                       [(name, f"eps={eps:g}", "1:4", False)
-                        for name, eps in zip(outputs, p["eps_list"])],
-                       title=f"|S33|, kappa={p['kappa']:g}, gamma={p['gamma']:g}",
-                       xlabel="omega", ylabel="|S33|")
-        outputs.append("figure2.gp")
-    else:
-        render_svg(out / "figure2.svg", curves, title=f"|S33|, kappa={p['kappa']:g}, "
-                   f"gamma={p['gamma']:g}", xlabel="omega", ylabel="|S33|")
-        outputs.append("figure2.svg")
+    _figure(out, "figure2", p["gnuplot"], curves, data_files,
+            title=f"|S33|, kappa={p['kappa']:g}, gamma={p['gamma']:g}",
+            xlabel="omega", ylabel="|S33|")
     summary = {
         "kappa": p["kappa"],
         "gamma": p["gamma"],
@@ -405,10 +387,8 @@ def _run_figure2(p: dict, out: Path) -> list:
         "epsilon_h": semiclassics.hopf_threshold(p["kappa"], p["gamma"]).epsilon_h,
         "peaks": peaks,
     }
-    _write_json(out / "figure2_summary.json", summary)
-    outputs.append("figure2_summary.json")
-    _echo(summary, p["format"])
-    return outputs
+    _write_json(out("figure2_summary.json"), summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +423,12 @@ def _sweep_point(kappa: float, gamma: float, quantities: list, delta_eps: float)
     return row, caught
 
 
-def _run_sweep(p: dict, out: Path) -> list:
+def _run_sweep(p: dict, out: _Outputs) -> None:
     results = [_sweep_point(k, g, p["quantities"], p["delta_eps"])
                for k in p["kappa_grid"] for g in p["gamma_grid"]]
     rows = [row for row, _ in results]
     header = ["kappa", "gamma"] + list(p["quantities"])
-    write_csv(out / "sweep.csv", header, ([row[h] for h in header] for row in rows))
+    write_csv(out("sweep.csv"), header, [[row[h] for h in header] for row in rows])
     print(f"wrote sweep.csv ({len(rows)} rows)")
     # One line per warning site, not one per grid point.
     warned = {}
@@ -458,7 +438,6 @@ def _run_sweep(p: dict, out: Path) -> list:
     for (category, _, _), (message, count) in warned.items():
         print(f"selfpulse sweep: {category} at {count} of {len(rows)} points, first: {message}",
               file=sys.stderr)
-    return ["sweep.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +579,8 @@ _OPTIONS = (
             help="emit a plot script with the data instead of SVG"),
     _Option("sweep", "--kappa-grid", _grid, None, lambda v: min(v) > 0,
             "values must be > 0", help="min:max:count"),
-    _Option("sweep", "--gamma-grid", _grid, None, help="min:max:count"),
+    _Option("sweep", "--gamma-grid", _grid, None, lambda v: min(v) >= 0,
+            "values must be >= 0", help="min:max:count"),
     _Option("sweep", "--quantities", _names, "epsilon_h,omega_h,d,a",
             lambda v: set(v) <= set(_SWEEP_QUANTITIES), "has an unknown quantity",
             help=f"comma-separated from {', '.join(_SWEEP_QUANTITIES)}"),
@@ -709,15 +689,18 @@ def main(argv=None) -> int:
         return 1
 
     start = time.monotonic()
+    outputs = _Outputs(out)
     try:
-        outputs = _COMMANDS[args.command][0](p, out)
-    except SelfPulseError as exc:
+        report = _COMMANDS[args.command][0](p, outputs)
+    except (SelfPulseError, ArithmeticError) as exc:
         print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
         return 2
     wall = time.monotonic() - start
+    if report is not None:
+        _echo(report, p["format"])
 
     params = {k: str(v) if isinstance(v, complex) else v for k, v in p.items()}
-    _write_manifest(out, args.command, params, p["seed"], canonical_argv, outputs, wall)
+    _write_manifest(out, args.command, params, p["seed"], canonical_argv, outputs.names, wall)
     return 0
 
 

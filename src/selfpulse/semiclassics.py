@@ -7,6 +7,7 @@ general chi is handled by ``model.rescale_to_unit_chi``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,10 @@ INTEGRATOR = "DOP853"
 #: longest run in the package and its tests takes under 5000; this many
 #: take about 9 s on a 2-core host and hold about 30 MB of interpolants.
 MAX_STEPS = 40_000
+
+#: Output times above which ``integrate`` refuses to run, before it
+#: allocates them: a million samples hold 32 MB of states.
+MAX_SAMPLES = 1_000_000
 
 #: Swing of beta_r, relative to the segment's largest |state| component,
 #: below which ``detect_limit_cycle`` reports no cycle.  Integration noise
@@ -90,7 +95,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write `t,beta_r,beta_i,alpha_r,alpha_i` at full double precision."""
-        write_csv(path, TRAJECTORY_HEADER, ((t, *row) for t, row in zip(self.times, self.y)))
+        write_csv(path, TRAJECTORY_HEADER, np.column_stack([self.times, self.y]))
 
 
 def integrate(
@@ -113,8 +118,8 @@ def integrate(
     rel_tol, abs_tol : float
         Tolerances, each in (0, 1e-2].
     n_samples : int
-        Number (>= 1) of output times, uniformly spaced from ``t_span[0]``
-        to ``t_span[1]`` inclusive.
+        Number (1 to ``MAX_SAMPLES``) of output times, uniformly spaced
+        from ``t_span[0]`` to ``t_span[1]`` inclusive.
 
     Raises
     ------
@@ -131,8 +136,8 @@ def integrate(
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol <= 1e-2):
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
-    if int(n_samples) < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if not 1 <= int(n_samples) <= MAX_SAMPLES:
+        raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
     times = np.linspace(t0, t1, int(n_samples))
 
     # deferred: a start-up cost most commands never use
@@ -278,6 +283,8 @@ def hopf_threshold(kappa: float, gamma: float) -> HopfPoint:
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     eps_h = math.sqrt(kappa * (kappa + gamma)) * (kappa + 2.0 * gamma) / (4.0 * math.sqrt(2.0))
+    if not math.isfinite(eps_h):
+        raise NumericalError(f"epsilon_h overflows at kappa={kappa:g}, gamma={gamma:g}")
     return HopfPoint(
         epsilon_h=eps_h,
         beta_i0h=-math.sqrt(kappa * (kappa + gamma) / 8.0),
@@ -296,11 +303,12 @@ def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
     """Closed-form spectrum at the bifurcation, from the two 2x2 blocks.
 
     The marginal pair is +/- i sqrt(kappa(kappa+2 gamma))/2; the stable
-    pair is -(kappa+gamma)/2 +/- i sqrt(2 kappa(kappa+gamma) - gamma^2)/2.
+    pair is -(kappa+gamma)/2 +/- i sqrt(2 kappa(kappa+gamma) - gamma^2)/2,
+    a real pair for gamma > (1 + sqrt 3) kappa.
     """
     om = hopf_frequency(kappa, gamma)
     re2 = -(kappa + gamma) / 2.0
-    im2 = math.sqrt(2.0 * kappa * (kappa + gamma) - gamma**2) / 2.0
+    im2 = cmath.sqrt(2.0 * kappa * (kappa + gamma) - gamma**2) / 2.0
     return np.array([1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2])
 
 

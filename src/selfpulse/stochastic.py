@@ -389,4 +389,4 @@ def phase_record_to_csv(record: PhaseRecord, path) -> None:
     _, var = _phase_variance(record)
     n_eff = record.phases.shape[0]
     write_csv(path, ("t", "var_phi", "n_effective"),
-              ((t, v, n_eff) for t, v in zip(record.times, var)))
+              np.column_stack([record.times, var, np.full_like(var, n_eff)]))

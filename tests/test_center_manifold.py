@@ -156,7 +156,8 @@ class TestLyapunovCoefficient:
     def test_reference_value(self):
         # both evaluation routes agree on -0.502801 here
         assert lyapunov_coefficient(1.0, 0.1) == pytest.approx(-0.502801, abs=1e-6)
-        assert lyapunov_coefficient_numeric(1.0, 0.1) == pytest.approx(-0.502801, abs=1e-6)
+        a_num = lyapunov_coefficient_numeric(1.0, 0.1, cm_coefficients(1.0, 0.1))
+        assert a_num == pytest.approx(-0.502801, abs=1e-6)
 
     def test_supercritical_on_grid(self):
         for kappa in np.geomspace(0.1, 10.0, 20):
@@ -170,13 +171,13 @@ class TestLyapunovCoefficient:
     def test_numeric_route_agrees(self, kappa, gfrac):
         gamma = gfrac * kappa
         a_closed = lyapunov_coefficient(kappa, gamma)
-        a_num = lyapunov_coefficient_numeric(kappa, gamma)
+        a_num = lyapunov_coefficient_numeric(kappa, gamma, cm_coefficients(kappa, gamma))
         assert a_num == pytest.approx(a_closed, rel=1e-9)
 
     def test_cubic_composition_has_pure_rotation_linear_part(self):
         # the composed cubics are what the numeric route differentiates;
         # spot-check the gamma = 0 coefficients against a direct evaluation
-        Nu, Nv = normal_form_cubics(1.0, 0.0)
+        Nu, Nv = normal_form_cubics(1.0, 0.0, cm_coefficients(1.0, 0.0))
         a = (3.0 * Nu[0] + Nu[2] + Nv[1] + 3.0 * Nv[3]) / 8.0
         assert a == pytest.approx(-33.0 / 68.0, rel=1e-12)
 

@@ -72,6 +72,7 @@ class TestExitCodes:
         ["simulate", "--format", "json"],  # simulate echoes no report
         ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:0:1", "--jobs", "2"],
         ["phase-diffusion", "--delta-eps", "0.05", "--radial-noise"],  # not a CLI switch
+        ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid=-3:-2:2", "--quantities", "omega_h"],
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -83,6 +84,16 @@ class TestExitCodes:
     def test_overflowing_fixed_point_cubic_exits_2(self, optimize, tmp_path):
         r = run_cli(["fixed-point", "--kappa", "1e308", "--epsilon", "1e308",
                      "--out", str(tmp_path)], env={"PYTHONOPTIMIZE": optimize})
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["hopf", "--kappa", "1e300"],  # epsilon_h overflows
+        ["hopf", "--kappa", "1e-300"],  # kappa^2 underflows into a divisor
+        ["limit-cycle", "--delta-eps", "0.01", "--t-periods", "1e9"],  # above MAX_SAMPLES
+    ], ids=["overflow", "underflow", "samples"])
+    def test_arithmetic_and_sample_limits_exit_2(self, args, tmp_path):
+        r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
@@ -169,6 +180,27 @@ def test_manifest_names_the_integrator(tmp_path, args, manifest, integrator):
     assert main(args + ["--out", str(tmp_path)]) == 0
     man = json.loads((tmp_path / manifest).read_text())
     assert man.get("integrator") == integrator
+
+
+@pytest.mark.parametrize("args", [
+    ["fixed-point"],
+    ["simulate", "--t-final", "1", "--n-samples", "5"],
+    ["hopf"],
+    ["limit-cycle", "--delta-eps", "0.002", "--t-periods", "30"],
+    ["spectrum", "--elements", "33,11", "--n-points", "101"],
+    ["phase-diffusion", "--delta-eps", "0.05", "--n-ensemble", "100", "--t-final", "10"],
+    ["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0,0.05", "--t-periods", "30"],
+    ["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0", "--gnuplot"],
+    ["figure2", "--n-points", "101"],
+    ["figure2", "--n-points", "101", "--gnuplot"],
+    ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:1:2"],
+], ids=lambda args: args[0] + ("-gnuplot" if "--gnuplot" in args else ""))
+def test_manifest_lists_exactly_the_files_written(tmp_path, args):
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    manifest = args[0].replace("-", "_") + "_manifest.json"
+    outputs = outputs_of(tmp_path / manifest)
+    assert len(set(outputs)) == len(outputs)
+    assert sorted(outputs) == sorted(p.name for p in tmp_path.iterdir() if p.name != manifest)
 
 
 class TestSpectrumCommand:

@@ -145,7 +145,9 @@ class TestJacobian:
         expected = np.sort([-p.gamma / 2] * 2 + [-p.kappa / 2] * 2)
         assert np.allclose(ev, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.5), (3.0, 1.0)])
+    # past gamma = (1 + sqrt 3) kappa the stable pair is real
+    @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.5), (3.0, 1.0),
+                                             (1.0, 3.0), (0.5, 2.0)])
     def test_closed_form_eigenvalues_at_threshold(self, kappa, gamma):
         hp = hopf_threshold(kappa, gamma)
         p = params_at(kappa, gamma, hp.epsilon_h)
@@ -319,7 +321,7 @@ class TestIntegrate:
 
     def test_output_times_validation(self):
         p = params_at(1.0, 0.1, 0.2)
-        for n_samples in (0, -1):
+        for n_samples in (0, -1, semiclassics.MAX_SAMPLES + 1):
             with pytest.raises(DomainError, match="n_samples"):
                 integrate(np.zeros(4), p, (0.0, 1.0), n_samples=n_samples)
 
