@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .semiclassics import hopf_frequency, hopf_threshold
+from .semiclassics import hopf_frequency, hopf_threshold, require_representable
 
 #: Absolute residual allowed for the quadratic tangency equations.
 TANGENCY_TOL = 1e-10
@@ -44,9 +44,6 @@ class CMCoefficients:
     B2: float
     C2: float
     residual: float
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
 
 
 def center_block(kappa: float, gamma: float) -> np.ndarray:
@@ -218,7 +215,9 @@ def radial_growth_rate(kappa: float, gamma: float) -> float:
     """
     if not (kappa > 0):
         raise DomainError(f"kappa must be > 0, got {kappa}")
-    return math.sqrt(8.0 * kappa * (kappa + gamma)) / (kappa * (3.0 * kappa + 4.0 * gamma))
+    den = require_representable("kappa*(3 kappa + 4 gamma)", kappa * (3.0 * kappa + 4.0 * gamma),
+                                kappa, gamma)
+    return math.sqrt(8.0 * kappa * (kappa + gamma)) / den
 
 
 def trace_derivative(kappa: float, gamma: float) -> float:
@@ -253,6 +252,8 @@ def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     den = 4.0 * (
         128.0 * k**2 * g**4 + 480.0 * k**3 * g**3 + 51.0 * k**6 + 284.0 * k**5 * g + 576.0 * k**4 * g**2
     )
+    require_representable("the denominator of a", den, kappa, gamma)
+    require_representable("the numerator of a", num, kappa, gamma)
     return -num / den
 
 
@@ -332,7 +333,7 @@ def cm_report(kappa: float, gamma: float) -> dict:
         "gamma": gamma,
         "beta_i0h": hp.beta_i0h,
         "alpha_i0h": hp.alpha_i0h,
-        "coefficients": cm.as_dict(),
+        "coefficients": {k: v for k, v in asdict(cm).items() if k != "residual"},
         "d": radial_growth_rate(kappa, gamma),
         "a": lyapunov_coefficient(kappa, gamma),
         "a_numeric": lyapunov_coefficient_numeric(kappa, gamma, cm),

@@ -263,7 +263,8 @@ def _run_phase_diffusion(p: dict, out: _Outputs) -> dict:
         params, p["delta_eps"], config, mode=p["mode"], noise_scale=p["noise_scale"],
     )
     fit = stochastic.measure_phase_diffusion(record)
-    analytic = noise.phase_diffusion_constant(p["kappa"], p["delta_eps"], gamma=p["gamma"])
+    # without gamma: simulate_limit_cycle_noise already warned if it is not small against kappa
+    analytic = noise.phase_diffusion_constant(p["kappa"], p["delta_eps"])
     doc = {
         "kappa": p["kappa"],
         "gamma": p["gamma"],
@@ -285,7 +286,7 @@ def _run_phase_diffusion(p: dict, out: _Outputs) -> dict:
 # ---------------------------------------------------------------------------
 
 def _figure1_panel(task):
-    """One (kappa, gamma) panel: settled orbits and predictions per delta-eps."""
+    """One (kappa, gamma) panel: settled and predicted orbits per delta-eps, as (t, state) rows."""
     kappa, gamma, fracs, t_periods, rel_tol = task
     hp = semiclassics.hopf_threshold(kappa, gamma)
     panel = []
@@ -294,11 +295,11 @@ def _figure1_panel(task):
         if deps == 0.0:
             fp = semiclassics.fixed_point(
                 SystemParams(kappa=kappa, gamma=gamma, epsilon=hp.epsilon_h))
+            marker = np.concatenate([[0.0], fp.to_vector()])[None]
             panel.append({
                 "delta_eps": 0.0,
-                "numerical": np.array([[0.0, fp.beta_i0, 0.0, fp.alpha_i0]]),
-                "predicted": np.array([[0.0, fp.beta_i0, 0.0, fp.alpha_i0]]),
-                "times": np.array([0.0]),
+                "numerical": marker,
+                "predicted": marker,
                 "overlap": float("nan"),
                 "period": float("nan"),
             })
@@ -310,9 +311,8 @@ def _figure1_panel(task):
         ts = np.linspace(0.0, 2.0 * math.pi / pred.omega_h, 241)
         panel.append({
             "delta_eps": deps,
-            "numerical": traj.y[tail],
-            "times": traj.times[tail],
-            "predicted": pred.orbit(ts),
+            "numerical": np.column_stack([traj.times[tail], traj.y[tail]]),
+            "predicted": np.column_stack([ts, pred.orbit(ts)]),
             "overlap": float(np.mean(np.abs(radius - pred.amplitude_A)) / pred.amplitude_A),
             "period": period,
         })
@@ -336,14 +336,12 @@ def _run_figure1(p: dict, out: _Outputs) -> None:
         for q, item in enumerate(panel):
             num_name = f"figure1_panel{idx}_deps{q}_numerical.csv"
             pred_name = f"figure1_panel{idx}_deps{q}_predicted.csv"
-            write_csv(out(num_name), semiclassics.TRAJECTORY_HEADER,
-                      np.column_stack([item["times"], item["numerical"]]))
-            write_csv(out(pred_name), semiclassics.TRAJECTORY_HEADER,
-                      np.column_stack([np.arange(len(item["predicted"])), item["predicted"]]))
+            write_csv(out(num_name), semiclassics.TRAJECTORY_HEADER, item["numerical"])
+            write_csv(out(pred_name), semiclassics.TRAJECTORY_HEADER, item["predicted"])
             label = f"deps={item['delta_eps']:.4g}"
-            curves.append(Curve(x=item["numerical"][:, 0], y=item["numerical"][:, 2],
+            curves.append(Curve(x=item["numerical"][:, 1], y=item["numerical"][:, 3],
                                 label=label, dashed=False))
-            curves.append(Curve(x=item["predicted"][:, 0], y=item["predicted"][:, 2],
+            curves.append(Curve(x=item["predicted"][:, 1], y=item["predicted"][:, 3],
                                 label="", dashed=True))
             data_files += [(num_name, label, "2:4", False), (pred_name, "predicted", "2:4", True)]
             summary.append({

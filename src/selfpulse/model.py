@@ -132,11 +132,6 @@ class SemiclassicalState:
         b, a = complex(self.beta), complex(self.alpha)
         return np.array([b.real, b.imag, a.real, a.imag])
 
-    @classmethod
-    def from_vector(cls, y) -> "SemiclassicalState":
-        br, bi, ar, ai = np.asarray(y, dtype=float)
-        return cls(alpha=complex(ar, ai), beta=complex(br, bi))
-
 
 @dataclass(frozen=True)
 class SidebandCheck:
@@ -197,8 +192,6 @@ def rescale_to_unit_chi(params: SystemParams) -> SystemParams:
     Solutions of the scaled system at time t correspond to the original
     system at time t/chi.
     """
-    if not (params.chi > 0):
-        raise DomainError(f"chi must be > 0, got {params.chi}")
     c = params.chi
     return SystemParams(
         kappa=params.kappa / c,

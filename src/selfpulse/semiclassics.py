@@ -264,6 +264,14 @@ def classify_fixed_point(params: SystemParams, fp: FixedPoint) -> StabilityRepor
     return StabilityReport(eigenvalues=ev, classification=label, max_real_part=mx)
 
 
+def require_representable(name: str, value: float, kappa: float, gamma: float) -> float:
+    """Return ``value``, positive in exact arithmetic; NumericalError if it under- or overflowed."""
+    if not 0.0 < value < math.inf:
+        raise NumericalError(
+            f"{name} is {value:g}, out of range at kappa={kappa:g}, gamma={gamma:g}")
+    return value
+
+
 @dataclass(frozen=True)
 class HopfPoint:
     epsilon_h: float
@@ -283,8 +291,7 @@ def hopf_threshold(kappa: float, gamma: float) -> HopfPoint:
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     eps_h = math.sqrt(kappa * (kappa + gamma)) * (kappa + 2.0 * gamma) / (4.0 * math.sqrt(2.0))
-    if not math.isfinite(eps_h):
-        raise NumericalError(f"epsilon_h overflows at kappa={kappa:g}, gamma={gamma:g}")
+    require_representable("epsilon_h", eps_h, kappa, gamma)
     return HopfPoint(
         epsilon_h=eps_h,
         beta_i0h=-math.sqrt(kappa * (kappa + gamma) / 8.0),
@@ -296,7 +303,8 @@ def hopf_frequency(kappa: float, gamma: float) -> float:
     """Frequency sqrt(kappa (kappa + 2 gamma))/2 of the marginal pair."""
     if not (kappa > 0):
         raise DomainError(f"kappa must be > 0, got {kappa}")
-    return math.sqrt(kappa * (kappa + 2.0 * gamma)) / 2.0
+    return require_representable("omega_h", math.sqrt(kappa * (kappa + 2.0 * gamma)) / 2.0,
+                                 kappa, gamma)
 
 
 def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
@@ -338,8 +346,8 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     largest |state| component of the segment, so that integration noise
     about a stable fixed point, however regular, is never a cycle.
 
-    Returns ``converged=False`` with nan period when no crossings are
-    found (fixed-point regime).
+    Returns ``converged=False`` with nan period and zero amplitudes when
+    fewer than two crossings are found (fixed-point regime).
     """
     if not (0.0 <= transient_fraction < 1.0):
         raise DomainError(f"transient_fraction must lie in [0, 1), got {transient_fraction}")
@@ -375,38 +383,28 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
                  brentq(beta_r, ts[i], ts[i + 1], xtol=1e-14 * max(1.0, abs(ts[i + 1])))
                  for i in np.flatnonzero(on | across)]
 
-    if len(crossings) < 2:
-        return LimitCycleMeasurement(
-            period=math.nan,
-            amplitude_beta_r=0.0,
-            amplitude_alpha_r=0.0,
-            mean_beta_i=float(np.mean(ys[:, 1])),
-            mean_alpha_i=float(np.mean(ys[:, 3])),
-            converged=False,
-            n_crossings=len(crossings),
-            crossing_times=np.asarray(crossings),
-        )
-
     tc = np.asarray(crossings)
-    period = float(np.mean(np.diff(tc)))
-    states = traj.dense(tc).T
-    # Component scales from the whole segment: the section coordinate is
-    # ~0 at every crossing and must not wreck the relative comparison.
-    scale = np.max(np.abs(ys), axis=0)
-    amplitude = 0.5 * float(br.max() - br.min())
-    swings = amplitude > CYCLE_AMPLITUDE_FLOOR * scale.max()
-    scale[scale == 0.0] = 1.0
-    rel_jump = np.max(np.abs(np.diff(states, axis=0)) / scale, axis=1)
-    converged = bool(swings and np.all(rel_jump[-min(5, len(rel_jump)):] <= 1e-4))
+    period, amplitude, amplitude_ar, converged = math.nan, 0.0, 0.0, False
+    if len(tc) >= 2:
+        period = float(np.mean(np.diff(tc)))
+        states = traj.dense(tc).T
+        # Component scales from the whole segment: the section coordinate is
+        # ~0 at every crossing and must not wreck the relative comparison.
+        scale = np.max(np.abs(ys), axis=0)
+        amplitude = 0.5 * float(br.max() - br.min())
+        amplitude_ar = 0.5 * float(ar.max() - ar.min())
+        swings = amplitude > CYCLE_AMPLITUDE_FLOOR * scale.max()
+        scale[scale == 0.0] = 1.0
+        rel_jump = np.max(np.abs(np.diff(states, axis=0)) / scale, axis=1)
+        converged = bool(swings and np.all(rel_jump[-min(5, len(rel_jump)):] <= 1e-4))
 
     return LimitCycleMeasurement(
         period=period,
         amplitude_beta_r=amplitude,
-        amplitude_alpha_r=0.5 * float(ar.max() - ar.min()),
+        amplitude_alpha_r=amplitude_ar,
         mean_beta_i=float(np.mean(ys[:, 1])),
         mean_alpha_i=float(np.mean(ys[:, 3])),
         converged=converged,
         n_crossings=len(tc),
         crossing_times=tc,
     )
-

@@ -12,6 +12,7 @@ member index of 2**62.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -200,6 +201,18 @@ class PhaseRecord:
     noise_scale: float
     config: SDEConfig
 
+    @functools.cached_property
+    def _centred(self):
+        """(y, y*y): each member's phase change since the first sample, less the ensemble mean."""
+        y = self.phases - self.phases[:, :1]
+        y -= y.mean(axis=0)
+        return y, y * y
+
+    @functools.cached_property
+    def variance(self) -> np.ndarray:
+        """Variance across members of the phase change; kept for the fit and the CSV writer."""
+        return self._centred[1].sum(axis=0) / (self.phases.shape[0] - 1)
+
 
 def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                                config: SDEConfig, mode: str = "reduced",
@@ -338,7 +351,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     if n < 100:
         raise DomainError(f"need >= 100 surviving members, got {n}")
     t = record.times
-    dphi, var = _phase_variance(record)
+    var = record.variance
     d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
     floor = (1e-12 * max(1.0, float(np.max(np.abs(record.phases))))) ** 2
@@ -356,16 +369,16 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
         )
 
     # Resample b holds member i W[b, i] times (the same draws as indexing
-    # dphi with them), so its sums of y and y^2 are W @ y and W @ (y*y).
-    # Centring y once on the full-ensemble mean keeps the resampled means
-    # small, so the sum-of-squares variance loses no significant digits.
+    # the phase changes with them), so its sums of y and y^2 are W @ y and
+    # W @ y2.  Centring y once on the full-ensemble mean keeps the resampled
+    # means small, so the sum-of-squares variance loses no significant digits.
     rng = member_rng(record.config.seed, _ANALYSIS_STREAM)
     W = np.empty((n_bootstrap, n))
     for b in range(n_bootstrap):
         W[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    y = dphi - dphi.mean(axis=0)
+    y, y2 = record._centred
     mean = (W @ y) / n
-    boot_var = (W @ (y * y) - n * mean**2) / (n - 1)
+    boot_var = (W @ y2 - n * mean**2) / (n - 1)
     stderr = float(((boot_var @ t) / (t @ t)).std(ddof=1))
     scale = record.noise_scale if record.noise_scale > 0 else 1.0
     return PhaseDiffusionFit(
@@ -378,15 +391,9 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     )
 
 
-def _phase_variance(record: PhaseRecord):
-    """Each member's phase change since the first sample, and its variance across members."""
-    dphi = record.phases - record.phases[:, :1]
-    return dphi, dphi.var(axis=0, ddof=1)
-
-
 def phase_record_to_csv(record: PhaseRecord, path) -> None:
     """Write `t,var_phi,n_effective` for the recorded window."""
-    _, var = _phase_variance(record)
+    var = record.variance
     n_eff = record.phases.shape[0]
     write_csv(path, ("t", "var_phi", "n_effective"),
               np.column_stack([record.times, var, np.full_like(var, n_eff)]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from selfpulse import (
     DomainError,
+    NumericalError,
     SystemParams,
     cm_coefficients,
     cm_report,
@@ -134,6 +135,10 @@ class TestRadialGrowthRate:
     def test_reference_value(self):
         assert radial_growth_rate(1.0, 0.1) == pytest.approx(0.872494, abs=1e-6)
 
+    def test_underflowed_divisor_raises(self):
+        with pytest.raises(NumericalError, match="kappa=1e-300, gamma=0"):
+            radial_growth_rate(1e-300, 0.0)
+
     @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.5), (2.0, 0.4)])
     def test_trace_finite_difference(self, kappa, gamma):
         # central difference of the exposed trace through the threshold equals
@@ -158,6 +163,13 @@ class TestLyapunovCoefficient:
         assert lyapunov_coefficient(1.0, 0.1) == pytest.approx(-0.502801, abs=1e-6)
         a_num = lyapunov_coefficient_numeric(1.0, 0.1, cm_coefficients(1.0, 0.1))
         assert a_num == pytest.approx(-0.502801, abs=1e-6)
+
+    # kappa^6 underflows the denominator at 1e-300; at 1e-50 only the
+    # numerator's kappa^7 underflows, and a would read -0.0 for -33 kappa/68
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-50])
+    def test_underflow_raises(self, kappa):
+        with pytest.raises(NumericalError, match=f"kappa={kappa:g}"):
+            lyapunov_coefficient(kappa, 0.0)
 
     def test_supercritical_on_grid(self):
         for kappa in np.geomspace(0.1, 10.0, 20):

@@ -91,11 +91,16 @@ class TestExitCodes:
         ["hopf", "--kappa", "1e300"],  # epsilon_h overflows
         ["hopf", "--kappa", "1e-300"],  # kappa^2 underflows into a divisor
         ["limit-cycle", "--delta-eps", "0.01", "--t-periods", "1e9"],  # above MAX_SAMPLES
-    ], ids=["overflow", "underflow", "samples"])
+        # epsilon_h and omega_h underflow to 0 instead of dividing by it
+        ["sweep", "--kappa-grid", "1e-300:1e-300:1", "--gamma-grid", "0:0:1",
+         "--quantities", "epsilon_h,omega_h"],
+    ], ids=["overflow", "underflow", "samples", "sweep_underflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        if "1e-300" in " ".join(args):  # the message names the input to change
+            assert "kappa=1e-300" in r.stderr
 
     def test_numerical_failure_exits_2(self, tmp_path):
         r = run_cli(["figure2", "--eps-list", "0.01,0.3", "--out", str(tmp_path)])
@@ -250,6 +255,10 @@ class TestFigure1Command:
             if row["delta_eps"] == min(r2["delta_eps"] for r2 in summary
                                        if r2["panel"] == row["panel"]):
                 assert row["mean_radial_gap_over_A"] <= 0.10
+        # t runs over one predicted period, 2 pi / omega_h = 4 pi at kappa=1, gamma=0
+        pred = np.loadtxt(tmp_path / "figure1_panel0_deps0_predicted.csv",
+                          delimiter=",", skiprows=1)
+        assert np.array_equal(pred[:, 0], np.linspace(0.0, 4.0 * math.pi, 241))
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         # two panels, so --jobs 2 runs them in two worker processes
@@ -271,7 +280,7 @@ class TestFigure1Command:
         pred = np.loadtxt(tmp_path / "figure1_panel0_deps0_predicted.csv",
                           delimiter=",", skiprows=1)
         assert pred.ndim == 1  # a single marker row
-        assert pred[1] == 0.0  # beta_r of the critical point
+        assert pred[0] == 0.0 and pred[1] == 0.0  # at t = 0, beta_r of the critical point
 
     def test_manifest_parameters_take_the_option_names(self, tmp_path):
         r = run_cli(["figure1", "--pairs", "1.0,0.0", "--delta-eps-fracs", "0",
@@ -342,6 +351,13 @@ class TestPhaseDiffusionCommand:
         assert doc["d_phi_hat"] == pytest.approx(doc["analytic"]["value"], rel=0.2)
         csv = (tmp_path / "phase_variance.csv").read_text().splitlines()
         assert csv[0] == "t,var_phi,n_effective"
+
+    def test_one_warning_when_gamma_is_not_small(self, tmp_path):
+        r = run_cli(["phase-diffusion", "--kappa", "1", "--gamma", "0.5", "--delta-eps", "0.05",
+                     "--n-ensemble", "100", "--t-final", "5", "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        warned = [line for line in r.stderr.splitlines() if "UserWarning" in line]
+        assert len(warned) == 1 and "gamma=0.5" in warned[0]
 
 
 _NO_SCIPY = """

@@ -187,7 +187,7 @@ class TestSystemParams:
 class TestStateVector:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
     def test_round_trip(self, vec):
-        s = SemiclassicalState.from_vector(vec)
+        s = SemiclassicalState(alpha=complex(vec[2], vec[3]), beta=complex(vec[0], vec[1]))
         assert np.array_equal(s.to_vector(), np.asarray(vec))
 
     def test_component_map(self):

@@ -28,6 +28,7 @@ from selfpulse.stochastic import (
     _ANALYSIS_STREAM,
     PhaseRecord,
     member_rng,
+    phase_record_to_csv,
 )
 
 MODEL = linear_noise_model(SystemParams(kappa=1.0, gamma=0.1, epsilon=0.13))
@@ -400,3 +401,19 @@ class TestMeasurePhaseDiffusion:
         times = np.arange(m + 1) * dt
         fit = measure_phase_diffusion(synthetic_record(phases, times, noise_scale=0.01))
         assert fit.d_phi_hat_physical == pytest.approx(fit.d_phi_hat / 0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, noise_scale, burn_in", [
+    ("reduced", 1.0, 0.0), ("full", 1e-3, 2.0)])
+def test_variance_csv_holds_the_record_variance(mode, noise_scale, burn_in, tmp_path):
+    p = SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0)
+    rec = simulate_limit_cycle_noise(p, 0.05, cycle_config(t_final=20.0, n_ensemble=150,
+                                                          seed=5, burn_in=burn_in),
+                                     mode=mode, noise_scale=noise_scale)
+    measure_phase_diffusion(rec)  # as the command does: the fit first, then the writer
+    phase_record_to_csv(rec, tmp_path / "phase_variance.csv")
+    table = np.loadtxt(tmp_path / "phase_variance.csv", delimiter=",", skiprows=1)
+    # %.17g reads back to the same doubles, so the columns compare bit for bit
+    assert np.array_equal(table[:, 0], rec.times)
+    assert np.array_equal(table[:, 1], np.var(rec.phases - rec.phases[:, :1], axis=0, ddof=1))
+    assert np.all(table[:, 2] == 150)
