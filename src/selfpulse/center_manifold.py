@@ -246,12 +246,16 @@ def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     if not (kappa > 0):
         raise DomainError(f"kappa must be > 0, got {kappa}")
     k, g = kappa, gamma
-    num = k**2 * (k + g) * (
-        99.0 * k**4 + 490.0 * g * k**3 + 808.0 * k**2 * g**2 + 512.0 * k * g**3 + 128.0 * g**4
-    )
-    den = 4.0 * (
-        128.0 * k**2 * g**4 + 480.0 * k**3 * g**3 + 51.0 * k**6 + 284.0 * k**5 * g + 576.0 * k**4 * g**2
-    )
+    try:
+        num = k**2 * (k + g) * (
+            99.0 * k**4 + 490.0 * g * k**3 + 808.0 * k**2 * g**2 + 512.0 * k * g**3 + 128.0 * g**4
+        )
+        den = 4.0 * (
+            128.0 * k**2 * g**4 + 480.0 * k**3 * g**3 + 51.0 * k**6 + 284.0 * k**5 * g
+            + 576.0 * k**4 * g**2
+        )
+    except OverflowError:  # float ** raises where * would give inf
+        num = den = math.inf
     require_representable("the denominator of a", den, kappa, gamma)
     require_representable("the numerator of a", num, kappa, gamma)
     return -num / den

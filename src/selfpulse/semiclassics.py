@@ -8,8 +8,13 @@ general chi is handled by ``model.rescale_to_unit_chi``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
+import warnings
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +25,24 @@ from .model import SystemParams
 #: |Re(lambda)| below which an eigenvalue pair counts as marginal.
 MARGINAL_TOL = 1e-8
 
-#: The scipy solver behind ``integrate``, recorded in run manifests.
+#: The Runge-Kutta pair ``integrate`` steps, recorded in run manifests.
 INTEGRATOR = "DOP853"
+
+#: DOP853's step-size control, as in scipy: a new step is the last one
+#: times SAFETY * error ** ERROR_EXPONENT, clipped to [MIN_FACTOR,
+#: MAX_FACTOR].  The error is > 0 there, so the power stays below 1e41.
+SAFETY = 0.9
+ERROR_EXPONENT = -1.0 / 8.0
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+
+#: The smallest relative tolerance, as in scipy: 100 machine epsilons.
+_MIN_REL_TOL = 100.0 * sys.float_info.epsilon
 
 #: Accepted integration steps after which ``integrate`` gives up.  The
 #: longest run in the package and its tests takes under 5000; this many
-#: take about 9 s on a 2-core host and hold about 30 MB of interpolants.
+#: take about 3.6 s on a 2-core host and hold 10 MB of interpolant
+#: coefficients (32 floats a step).
 MAX_STEPS = 40_000
 
 #: Output times above which ``integrate`` refuses to run, before it
@@ -42,12 +59,22 @@ CYCLE_AMPLITUDE_FLOOR = 1e-6
 TRAJECTORY_HEADER = ("t", "beta_r", "beta_i", "alpha_r", "alpha_i")
 
 
-def vector_field(y, params: SystemParams) -> np.ndarray:
+def _rates(br, bi, ar, ai, g2, k2, epsilon):
+    """The four time derivatives, elementwise on floats or arrays alike."""
+    return (
+        2.0 * (bi * ar - br * ai) - g2 * br,
+        2.0 * (br * ar + bi * ai) - g2 * bi - epsilon,
+        -2.0 * br * bi - k2 * ar,
+        br * br - bi * bi - k2 * ai,
+    )
+
+
+def vector_field(y, params: SystemParams):
     """Right-hand side of the scaled equations of motion.
 
     Parameters
     ----------
-    y : array_like, shape (..., 4)
+    y : tuple of 4 floats, or array_like of shape (..., 4)
         State (beta_r, beta_i, alpha_r, alpha_i), or a batch of states
         along the leading axes.
     params : SystemParams
@@ -55,20 +82,59 @@ def vector_field(y, params: SystemParams) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (..., 4)
-        (dbeta_r, dbeta_i, dalpha_r, dalpha_i)/dt for each state.
+    tuple of 4 floats, or ndarray of shape (..., 4)
+        (dbeta_r, dbeta_i, dalpha_r, dalpha_i)/dt, as a tuple for a tuple
+        (the form ``integrate`` steps in) and as an array otherwise.
     """
     if params.chi != 1.0:
         raise DomainError("vector_field requires chi == 1; rescale_to_unit_chi first")
-    br, bi, ar, ai = np.asarray(y).T
     g2 = params.gamma / 2.0
     k2 = params.kappa / 2.0
-    return np.array([
-        2.0 * (bi * ar - br * ai) - g2 * br,
-        2.0 * (br * ar + bi * ai) - g2 * bi - params.epsilon,
-        -2.0 * br * bi - k2 * ar,
-        br * br - bi * bi - k2 * ai,
-    ]).T
+    if isinstance(y, tuple):
+        return _rates(*y, g2, k2, params.epsilon)
+    return np.array(_rates(*np.asarray(y).T, g2, k2, params.epsilon)).T
+
+
+def _horner(row, x):
+    """The interpolant at x: row(0) = y_old plus the Horner sum of row(1) to row(7) = F0 to F6.
+
+    Works on floats and, in place, on arrays alike.
+    """
+    u = 1.0 - x
+    y = row(7) * x
+    for r in range(6, 0, -1):
+        y += row(r)
+        y *= x if r % 2 else u
+    return y + row(0)
+
+
+@dataclass(frozen=True)
+class DenseOutput:
+    """The continuous solution of ``integrate``: DOP853's 7th-degree interpolant per step.
+
+    ``ts`` holds the n + 1 step boundaries and ``coefficients`` the rows
+    (y_old, F0, ..., F6) of each step, shape (n, 8, 4), in the form of
+    Hairer, Norsett & Wanner, Solving ODEs I, II.6, which scipy's
+    ``DOP853`` also uses.  Like scipy's ``OdeSolution``, a time on a step
+    boundary takes the earlier step, a scalar time gives shape (4,) and
+    an array of m times gives shape (4, m).
+    """
+
+    ts: np.ndarray
+    coefficients: np.ndarray
+
+    def __call__(self, t) -> np.ndarray:
+        last = len(self.coefficients) - 1
+        if np.ndim(t) == 0:  # root finders ask one time at a time; floats are faster there
+            i = min(max(int(np.searchsorted(self.ts, t)) - 1, 0), last)
+            t_old = float(self.ts[i])
+            x = (float(t) - t_old) / (float(self.ts[i + 1]) - t_old)
+            return np.array([_horner(column.__getitem__, x)
+                             for column in self.coefficients[i].T.tolist()])
+        step = np.minimum(np.maximum(np.searchsorted(self.ts, t) - 1, 0), last)
+        t_old = self.ts[step]
+        x = ((np.asarray(t, dtype=float) - t_old) / (self.ts[step + 1] - t_old))[:, None]
+        return _horner(lambda r: self.coefficients[step, r], x).T
 
 
 @dataclass(frozen=True)
@@ -76,10 +142,10 @@ class Trajectory:
     """Sampled solution of the semiclassical equations.
 
     ``y`` has shape (n, 4) in the canonical ordering, sampled at ``times``;
-    ``dense`` is the solution between samples, a callable t -> state (the
-    integrator's ``OdeSolution``), on which ``detect_limit_cycle`` finds
-    its section crossings.  Like ``OdeSolution``, it maps a scalar time to
-    shape (4,) and an array of m times to shape (4, m).
+    ``dense`` is the solution between samples, a callable t -> state (a
+    ``DenseOutput`` for ``integrate``'s trajectories), on which
+    ``detect_limit_cycle`` finds its section crossings.  It maps a scalar
+    time to shape (4,) and an array of m times to shape (4, m).
     """
 
     times: np.ndarray
@@ -98,6 +164,97 @@ class Trajectory:
         write_csv(path, TRAJECTORY_HEADER, np.column_stack([self.times, self.y]))
 
 
+class _Tableau(NamedTuple):
+    """DOP853's coefficients as ((stage index, coefficient), ...) rows, zeros left out.
+
+    The vector field is autonomous, so the stage times (scipy's C and
+    C_EXTRA) are not needed.
+    """
+
+    stages: tuple  # stages 1 to 11 of a step, each from the stages before it
+    b: tuple  # the 8th-order solution
+    e5: tuple  # the 5th- and 3rd-order error estimates
+    e3: tuple
+    extra: tuple  # the three further stages of the interpolant
+    d: tuple  # the interpolant's rows F3 to F6
+
+
+@functools.cache
+def _dop853_tableau() -> _Tableau:
+    # deferred: a start-up cost most commands never use
+    from scipy.integrate import DOP853
+
+    def rows(matrix):
+        return tuple(tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+                     for row in matrix)
+
+    b, e5, e3 = rows([DOP853.B, DOP853.E5, DOP853.E3])
+    return _Tableau(stages=rows(DOP853.A[1:]), b=b, e5=e5, e3=e3,
+                    extra=rows(DOP853.A_EXTRA), d=rows(DOP853.D))
+
+
+def _combine(row, ks):
+    """The sum of c * ks[j] over (j, c) in ``row``, added left to right, as 4 floats."""
+    s0 = s1 = s2 = s3 = 0.0
+    for j, c in row:
+        k0, k1, k2, k3 = ks[j]
+        s0 += c * k0
+        s1 += c * k1
+        s2 += c * k2
+        s3 += c * k3
+    return s0, s1, s2, s3
+
+
+def _stage(y, h, row, ks):
+    """y + h * (the combination ``row`` of the stages ``ks``)."""
+    s0, s1, s2, s3 = _combine(row, ks)
+    return y[0] + s0 * h, y[1] + s1 * h, y[2] + s2 * h, y[3] + s3 * h
+
+
+def _sum_squares(v, scale):
+    """The sum of (v / scale)**2 over the four components, added left to right."""
+    total = 0.0
+    for a, s in zip(v, scale):
+        q = a / s
+        total += q * q
+    return total
+
+
+def _rms(v, scale):
+    """Root mean square of v / scale over the four components."""
+    return math.sqrt(_sum_squares(v, scale)) / 2.0
+
+
+def _initial_step(rhs, params, y0, f0, interval, rel_tol, abs_tol):
+    """scipy's ``select_initial_step`` for DOP853 (Hairer, Norsett & Wanner, II.4)."""
+    scale = [abs_tol + abs(a) * rel_tol for a in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    if not h0 > 0.0:  # f0 overflowed; the step control starts from its smallest step
+        return 0.0
+    f1 = rhs(tuple(a + h0 * b for a, b in zip(y0, f0)), params)
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, interval)
+
+
+def _error_norm(e5, e3, scale, h):
+    """DOP853's error norm of the step h from its 5th- and 3rd-order estimates."""
+    # the square of each 2-norm, rounded as numpy's norm(...)**2 rounds it
+    n5 = math.sqrt(_sum_squares(e5, scale))
+    n5 *= n5
+    n3 = math.sqrt(_sum_squares(e3, scale))
+    n3 *= n3
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    denom = n5 + 0.01 * n3
+    return h * n5 / math.sqrt(4.0 * denom) if denom > 0.0 else math.nan
+
+
 def integrate(
     state0,
     params: SystemParams,
@@ -108,6 +265,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate the semiclassical equations with the adaptive DOP853 8(5,3) pair.
 
+    The steps are those of scipy's ``DOP853``, taken on floats: its
+    tableau, initial step, error norm and step-size control (safety 0.9,
+    factors 0.2 to 10, exponent -1/8, no growth right after a rejection),
+    and its 7th-degree interpolant as ``Trajectory.dense``.  The right-hand
+    side is this module's ``vector_field``, called on tuples.
+
     Parameters
     ----------
     state0 : array_like, shape (4,)
@@ -116,7 +279,8 @@ def integrate(
     t_span : (float, float)
         Integration interval; must be finite.
     rel_tol, abs_tol : float
-        Tolerances, each in (0, 1e-2].
+        Tolerances, each in (0, 1e-2]; as in scipy, a ``rel_tol`` below
+        100 machine epsilons is raised to that, with a warning.
     n_samples : int
         Number (1 to ``MAX_SAMPLES``) of output times, uniformly spaced
         from ``t_span[0]`` to ``t_span[1]`` inclusive.
@@ -124,12 +288,13 @@ def integrate(
     Raises
     ------
     NumericalError
-        On integrator failure, or when ``MAX_STEPS`` accepted steps do not
-        reach ``t_span[1]`` (carries the time reached).
+        When the step size falls below the spacing of the floats near t,
+        or when ``MAX_STEPS`` accepted steps do not reach ``t_span[1]``
+        (carries the time reached).
     """
     y0 = np.asarray(state0, dtype=float)
-    if y0.shape != (4,):
-        raise DomainError(f"state0 must have 4 components, got shape {y0.shape}")
+    if y0.shape != (4,) or not np.all(np.isfinite(y0)):
+        raise DomainError(f"state0 must be 4 finite components, got {state0!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
         raise DomainError(f"t_span must be finite with t1 > t0, got {t_span}")
@@ -138,31 +303,66 @@ def integrate(
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
     if not 1 <= int(n_samples) <= MAX_SAMPLES:
         raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
+    if rel_tol < _MIN_REL_TOL:
+        warnings.warn(f"rel_tol {rel_tol:g} is below 100 machine epsilons; "
+                      f"using {_MIN_REL_TOL:g}", stacklevel=2)
+        rel_tol = _MIN_REL_TOL
     times = np.linspace(t0, t1, int(n_samples))
 
-    # deferred: a start-up cost most commands never use
-    from scipy.integrate import DOP853, OdeSolution
-
-    # The steps of scipy's solve_ivp, with the step count bounded.
-    solver = DOP853(lambda t, y: vector_field(y, params), t0, y0, t1,
-                    rtol=rel_tol, atol=abs_tol)
-    ts, interpolants = [t0], []
+    tab = _dop853_tableau()
+    f = vector_field  # the module attribute, so that a replacement of it is what runs
+    t, y = t0, tuple(y0.tolist())
+    fy = f(y, params)
+    h_abs = _initial_step(f, params, y, fy, t1 - t0, rel_tol, abs_tol)
+    ts, record = [t0], array("d")
     for _ in range(MAX_STEPS):
-        message = solver.step()
-        if solver.status == "failed":
-            raise NumericalError(f"integration failed: {message}", time_reached=solver.t)
-        ts.append(solver.t)
-        interpolants.append(solver.dense_output())
-        if solver.status == "finished":
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise NumericalError(
+                    f"integration failed at t={t:.6g}: the step size fell below the "
+                    f"spacing of floating-point numbers", time_reached=t)
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            ks = [fy]
+            for row in tab.stages:
+                ks.append(f(_stage(y, h, row, ks), params))
+            y_new = _stage(y, h, tab.b, ks)
+            f_new = f(y_new, params)
+            ks.append(f_new)
+            scale = [abs_tol + max(abs(a), abs(b)) * rel_tol for a, b in zip(y, y_new)]
+            error = _error_norm(_combine(tab.e5, ks), _combine(tab.e3, ks), scale, h)
+            if error < 1.0:
+                factor = (MAX_FACTOR if error == 0.0
+                          else min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            rejected = True
+        # the accepted step's interpolant: three more stages, then rows y_old, F0 to F6
+        for row in tab.extra:
+            ks.append(f(_stage(y, h, row, ks), params))
+        dy = [b - a for a, b in zip(y, y_new)]
+        record.extend(y)
+        record.extend(dy)
+        record.extend([h * a - d for a, d in zip(fy, dy)])
+        record.extend([2.0 * d - h * (b + a) for d, a, b in zip(dy, fy, f_new)])
+        for row in tab.d:
+            record.extend([h * s for s in _combine(row, ks)])
+        t, y, fy = t_new, y_new, f_new
+        ts.append(t)
+        if t >= t1:
             break
     else:
         raise NumericalError(
-            f"integration stopped after {MAX_STEPS} steps at t={solver.t:.6g} "
+            f"integration stopped after {MAX_STEPS} steps at t={t:.6g} "
             f"of {t1:.6g}; shorten t_span or loosen the tolerances",
-            time_reached=solver.t,
+            time_reached=t,
         )
-    dense = OdeSolution(ts, interpolants)
-    return Trajectory(times=times, y=dense(times).T.copy(), params=params, dense=dense)
+    dense = DenseOutput(np.array(ts), np.frombuffer(record).reshape(-1, 8, 4))
+    return Trajectory(times=times, y=dense(times).T, params=params, dense=dense)
 
 
 @dataclass(frozen=True)

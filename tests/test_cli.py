@@ -87,20 +87,28 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("args", [
-        ["hopf", "--kappa", "1e300"],  # epsilon_h overflows
-        ["hopf", "--kappa", "1e-300"],  # kappa^2 underflows into a divisor
-        ["limit-cycle", "--delta-eps", "0.01", "--t-periods", "1e9"],  # above MAX_SAMPLES
+    @pytest.mark.parametrize("args, named", [
+        (["hopf", "--kappa", "1e300"], "kappa=1e+300"),  # epsilon_h overflows
+        (["hopf", "--kappa", "1e-300"], "kappa=1e-300"),  # kappa^2 underflows into a divisor
+        (["limit-cycle", "--delta-eps", "0.01", "--t-periods", "1e9"],  # above MAX_SAMPLES
+         "n_samples"),
         # epsilon_h and omega_h underflow to 0 instead of dividing by it
-        ["sweep", "--kappa-grid", "1e-300:1e-300:1", "--gamma-grid", "0:0:1",
-         "--quantities", "epsilon_h,omega_h"],
-    ], ids=["overflow", "underflow", "samples", "sweep_underflow"])
-    def test_arithmetic_and_sample_limits_exit_2(self, args, tmp_path):
+        (["sweep", "--kappa-grid", "1e-300:1e-300:1", "--gamma-grid", "0:0:1",
+          "--quantities", "epsilon_h,omega_h"], "kappa=1e-300"),
+        # kappa**6 in the closed form of a raises OverflowError
+        (["hopf", "--kappa", "1e100"], "kappa=1e+100"),
+        (["sweep", "--kappa-grid", "1e100:1e100:1", "--gamma-grid", "0:0:1",
+          "--quantities", "a"], "kappa=1e+100"),
+        # the vector field overflows at the first step: the time reached is 0
+        (["simulate", "--beta0", "1e200", "--t-final", "1"], "t=0:"),
+        (["simulate", "--epsilon", "1e300", "--t-final", "10"], "t=0:"),
+    ], ids=["overflow", "underflow", "samples", "sweep_underflow", "a_overflow",
+            "sweep_a_overflow", "simulate_state_overflow", "simulate_drive_overflow"])
+    def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
-        if "1e-300" in " ".join(args):  # the message names the input to change
-            assert "kappa=1e-300" in r.stderr
+        assert named in r.stderr  # the message names the input to change
 
     def test_numerical_failure_exits_2(self, tmp_path):
         r = run_cli(["figure2", "--eps-list", "0.01,0.3", "--out", str(tmp_path)])

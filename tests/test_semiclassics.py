@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from selfpulse import (
     DomainError,
+    SemiclassicalState,
     NumericalError,
     SystemParams,
     Trajectory,
@@ -21,7 +23,7 @@ from selfpulse import (
     predict_limit_cycle,
     vector_field,
 )
-from selfpulse import semiclassics
+from selfpulse import cli, semiclassics
 from selfpulse.semiclassics import cubic_residual
 
 # strategies for well-conditioned parameter draws
@@ -102,6 +104,15 @@ class TestVectorField:
         assert f.shape == ys.shape
         for idx in np.ndindex(2, 3):
             assert np.array_equal(f[idx], vector_field(ys[idx], p))
+
+    def test_float_tuple_matches_array(self):
+        # the tuple form integrate steps in gives the array form's values bit for bit
+        p = params_at(0.8, 0.3, 0.21)
+        ys = np.random.default_rng(11).uniform(-2, 2, size=(50, 4))
+        for y in ys:
+            f = vector_field(tuple(y.tolist()), p)
+            assert type(f) is tuple and all(type(v) is float for v in f)
+            assert np.array_equal(np.array(f), vector_field(y, p))
 
     def test_requires_unit_chi(self):
         with pytest.raises(DomainError):
@@ -337,6 +348,59 @@ class TestIntegrate:
         a = integrate(y0, p, (0.0, 20.0 * T), n_samples=1200)
         b = integrate(y0, p, (0.0, 20.0 * T), rel_tol=1e-13, abs_tol=1e-15, n_samples=1200)
         assert np.max(np.abs(a.y - b.y)) <= 1e-7 * np.max(np.abs(b.y))
+
+
+def _scipy_dop853(y0, params, t_final, times):
+    """The same problem through scipy's solve_ivp at the default tolerances."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(lambda t, y: vector_field(y, params), (0.0, t_final), y0,
+                     method="DOP853", dense_output=True, rtol=1e-9, atol=1e-12, t_eval=times)
+
+
+def _assert_same_integration(traj, ref, t_check):
+    """integrate and solve_ivp agree on samples, step count and interpolant."""
+    scale = np.max(np.abs(ref.y))
+    assert np.max(np.abs(traj.y - ref.y.T)) <= 1e-11 * scale
+    assert len(traj.dense.ts) == len(ref.sol.ts)  # the same number of accepted steps
+    assert np.all(np.diff(traj.dense.ts) > 0)
+    states = traj.dense(t_check)
+    assert states.shape == (4, len(t_check))
+    assert traj.dense(t_check[0]).shape == (4,)
+    assert np.array_equal(traj.dense(t_check[0]), states[:, 0])
+    assert np.max(np.abs(states - ref.sol(t_check))) <= 1e-11 * scale
+
+
+class TestScipyRoute:
+    """Second route for integrate: scipy's own DOP853 stepper."""
+
+    @pytest.mark.parametrize("kappa, gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)])
+    def test_criterion_3_orbits(self, kappa, gamma):
+        # 150 periods at 1% above threshold, checked at the Poincare crossings too
+        hp = hopf_threshold(kappa, gamma)
+        deps = 0.01 * hp.epsilon_h
+        pred = predict_limit_cycle(kappa, gamma, deps)
+        t_final = 150.0 * 2.0 * math.pi / pred.omega_h
+        p = params_at(kappa, gamma, hp.epsilon_h + deps)
+        y0 = pred.orbit(0.0)[0]
+        traj = integrate(y0, p, (0.0, t_final), n_samples=7500)
+        meas = detect_limit_cycle(traj)
+        assert meas.converged and meas.n_crossings >= 70
+        _assert_same_integration(traj, _scipy_dop853(y0, p, t_final, traj.times),
+                                 meas.crossing_times)
+
+    def test_default_simulate_run(self, tmp_path):
+        assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+        q = json.loads((tmp_path / "simulate_manifest.json").read_text())["parameters"]
+        p = SystemParams(kappa=q["kappa"], gamma=q["gamma"], epsilon=q["epsilon"])
+        y0 = SemiclassicalState(alpha=complex(q["alpha0"]), beta=complex(q["beta0"])).to_vector()
+        traj = integrate(y0, p, (0.0, q["t_final"]), rel_tol=q["rel_tol"], abs_tol=q["abs_tol"],
+                         n_samples=q["n_samples"])
+        written = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(written, np.column_stack([traj.times, traj.y]))
+        midpoints = 0.5 * (traj.dense.ts[1:] + traj.dense.ts[:-1])
+        _assert_same_integration(traj, _scipy_dop853(y0, p, q["t_final"], traj.times),
+                                 midpoints)
 
 
 class TestDetectLimitCycle:
