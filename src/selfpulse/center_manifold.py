@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .semiclassics import hopf_frequency, hopf_threshold, require_representable
+from .semiclassics import hopf_frequency, hopf_threshold, rate_ratio, require_representable
 
 #: Absolute residual allowed for the quadratic tangency equations.
 TANGENCY_TOL = 1e-10
@@ -146,9 +146,8 @@ def _normal_form_transform(kappa: float, gamma: float):
     b = hopf_threshold(kappa, gamma).beta_i0h
     om = hopf_frequency(kappa, gamma)
     T = np.array([[0.0, 2.0 * b], [om, -kappa / 2.0]])
-    s = math.sqrt(kappa * (kappa + 2.0 * gamma))
     Tinv = np.array([
-        [kappa / (2.0 * s * b), 2.0 / s],
+        [kappa / (4.0 * om * b), 1.0 / om],
         [1.0 / (2.0 * b), 0.0],
     ])
     T.flags.writeable = False
@@ -211,18 +210,12 @@ def normal_form_cubics(kappa: float, gamma: float, cm: CMCoefficients):
 def radial_growth_rate(kappa: float, gamma: float) -> float:
     """Linear growth coefficient d of the radial normal form dr/dt = d*deps*r.
 
-    d = sqrt(8 kappa (kappa+gamma)) / (kappa (3 kappa + 4 gamma)).
+    d = sqrt(8 (1+r)) / ((3+4r) kappa), with r = gamma/kappa; d*kappa is
+    the rate at which the trace of the center block falls with the drive.
     """
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    den = require_representable("kappa*(3 kappa + 4 gamma)", kappa * (3.0 * kappa + 4.0 * gamma),
-                                kappa, gamma)
-    return math.sqrt(8.0 * kappa * (kappa + gamma)) / den
-
-
-def trace_derivative(kappa: float, gamma: float) -> float:
-    """Closed form sqrt(8 kappa (kappa+gamma)) / (3 kappa + 4 gamma) = d * kappa."""
-    return math.sqrt(8.0 * kappa * (kappa + gamma)) / (3.0 * kappa + 4.0 * gamma)
+    r = rate_ratio(kappa, gamma)
+    return require_representable("d", math.sqrt(8.0 * (1.0 + r)) / ((3.0 + 4.0 * r) * kappa),
+                                 kappa, gamma)
 
 
 def lyapunov_coefficient_numeric(kappa: float, gamma: float, cm: CMCoefficients) -> float:
@@ -239,26 +232,16 @@ def lyapunov_coefficient_numeric(kappa: float, gamma: float, cm: CMCoefficients)
 def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     """Cubic radial coefficient a (negative: the bifurcation is supercritical).
 
-    Closed form in (kappa, gamma).  ``lyapunov_coefficient_numeric`` is
-    the independent route through the tangency solve, and ``cm_report``
-    reports both.
+    With r = gamma/kappa, a = -kappa (1+r) P(r) / (4 Q(r)), where
+    P = 99 + 490r + 808r^2 + 512r^3 + 128r^4 and
+    Q = 51 + 284r + 576r^2 + 480r^3 + 128r^4, so a = -33 kappa/68 at
+    gamma = 0.  ``lyapunov_coefficient_numeric`` is the independent route
+    through the tangency solve, and ``cm_report`` reports both.
     """
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    k, g = kappa, gamma
-    try:
-        num = k**2 * (k + g) * (
-            99.0 * k**4 + 490.0 * g * k**3 + 808.0 * k**2 * g**2 + 512.0 * k * g**3 + 128.0 * g**4
-        )
-        den = 4.0 * (
-            128.0 * k**2 * g**4 + 480.0 * k**3 * g**3 + 51.0 * k**6 + 284.0 * k**5 * g
-            + 576.0 * k**4 * g**2
-        )
-    except OverflowError:  # float ** raises where * would give inf
-        num = den = math.inf
-    require_representable("the denominator of a", den, kappa, gamma)
-    require_representable("the numerator of a", num, kappa, gamma)
-    return -num / den
+    r = rate_ratio(kappa, gamma)
+    p = 99.0 + r * (490.0 + r * (808.0 + r * (512.0 + r * 128.0)))
+    q = 51.0 + r * (284.0 + r * (576.0 + r * (480.0 + r * 128.0)))
+    return -require_representable("|a|", kappa * (1.0 + r) * p / (4.0 * q), kappa, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +305,24 @@ def predict_limit_cycle(kappa: float, gamma: float, delta_epsilon: float) -> Lim
         omega_h=hopf_frequency(kappa, gamma),
         beta_i0h=hp.beta_i0h,
         beta_i_const=hp.beta_i0h - 2.0 * delta_epsilon / (3.0 * kappa + 4.0 * gamma),
-        alpha_i_const=hp.alpha_i0h
-        - 2.0 * math.sqrt(2.0 * kappa * (kappa + gamma)) * delta_epsilon
-        / (kappa * (3.0 * kappa + 4.0 * gamma)),
+        alpha_i_const=hp.alpha_i0h - d * delta_epsilon,
     )
 
 
 def cm_report(kappa: float, gamma: float) -> dict:
     """JSON-ready summary of the reduction at (kappa, gamma)."""
     hp = hopf_threshold(kappa, gamma)
-    cm = cm_coefficients(kappa, gamma)
+    r = gamma / kappa  # solved at unit kappa: the coefficients scale as 1/kappa, a as kappa
+    cm = cm_coefficients(1.0, r)
     return {
         "kappa": kappa,
         "gamma": gamma,
         "beta_i0h": hp.beta_i0h,
         "alpha_i0h": hp.alpha_i0h,
-        "coefficients": {k: v for k, v in asdict(cm).items() if k != "residual"},
+        "coefficients": {k: v / kappa for k, v in asdict(cm).items() if k != "residual"},
         "d": radial_growth_rate(kappa, gamma),
         "a": lyapunov_coefficient(kappa, gamma),
-        "a_numeric": lyapunov_coefficient_numeric(kappa, gamma, cm),
+        "a_numeric": kappa * lyapunov_coefficient_numeric(1.0, r, cm),
         "omega_h": hopf_frequency(kappa, gamma),
         "epsilon_h": hp.epsilon_h,
     }

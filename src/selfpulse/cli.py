@@ -162,7 +162,7 @@ def _run_hopf(p: dict, out: _Outputs) -> dict:
     doc["eigenvalues_at_threshold"] = [
         [z.real, z.imag] for z in semiclassics.hopf_eigenvalues(p["kappa"], p["gamma"])
     ]
-    doc["trace_derivative"] = cm.trace_derivative(p["kappa"], p["gamma"])
+    doc["trace_derivative"] = doc["d"] * p["kappa"]
     _write_json(out("hopf.json"), doc)
     return doc
 

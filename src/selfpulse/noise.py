@@ -190,7 +190,7 @@ def spectral_peak(result: SpectrumResult, i: int = 2, j: int = 2) -> SpectralPea
 class PhaseDiffusionConstant:
     """Analytic phase-diffusion rate, convention Var[phi(t)] = D_phi * t."""
 
-    value: float            # exact ratio s/(2 A^2) with s = 1/kappa
+    value: float            # s/(2 A^2) = prefactor * kappa / delta_epsilon
     prefactor: float        # 99/(272 sqrt(2)) ~ 0.25737
     rounded_value: float    # two-digit prefactor 0.26 widely quoted
 
@@ -199,9 +199,9 @@ def phase_diffusion_constant(kappa: float, delta_epsilon: float,
                              gamma: float = 0.0) -> PhaseDiffusionConstant:
     """Phase diffusion D_phi = s/(2 A^2) = 99 kappa / (272 sqrt(2) delta_epsilon).
 
-    Uses the on-cycle noise intensity s = 1/kappa and the limit-cycle
-    amplitude A^2 = 136 sqrt(2) delta_epsilon / (99 kappa^2), both valid
-    for kappa >> gamma; a warning is emitted when gamma > 0.1 kappa.
+    The ratio of the on-cycle noise intensity s = 1/kappa to twice the
+    limit-cycle amplitude A^2 = 136 sqrt(2) delta_epsilon / (99 kappa^2),
+    both valid for kappa >> gamma; a warning is emitted when gamma > 0.1 kappa.
     """
     if not (kappa > 0):
         raise DomainError(f"kappa must be > 0, got {kappa}")
@@ -213,11 +213,9 @@ def phase_diffusion_constant(kappa: float, delta_epsilon: float,
             "phase-diffusion constant is derived in the kappa >> gamma regime",
             stacklevel=2,
         )
-    s = 1.0 / kappa
-    amp_sq = 136.0 * math.sqrt(2.0) * delta_epsilon / (99.0 * kappa**2)
     prefactor = 99.0 / (272.0 * math.sqrt(2.0))
     return PhaseDiffusionConstant(
-        value=s / (2.0 * amp_sq),
+        value=prefactor * (kappa / delta_epsilon),
         prefactor=prefactor,
         rounded_value=0.26 * kappa / delta_epsilon,
     )

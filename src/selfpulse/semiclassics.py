@@ -11,7 +11,6 @@ import cmath
 import functools
 import math
 import sys
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -279,8 +278,8 @@ def integrate(
     t_span : (float, float)
         Integration interval; must be finite.
     rel_tol, abs_tol : float
-        Tolerances, each in (0, 1e-2]; as in scipy, a ``rel_tol`` below
-        100 machine epsilons is raised to that, with a warning.
+        Tolerances, each in (0, 1e-2]; ``rel_tol`` must also be at least
+        100 machine epsilons, the smallest that scipy's ``DOP853`` runs at.
     n_samples : int
         Number (1 to ``MAX_SAMPLES``) of output times, uniformly spaced
         from ``t_span[0]`` to ``t_span[1]`` inclusive.
@@ -301,12 +300,11 @@ def integrate(
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < tol <= 1e-2):
             raise DomainError(f"{name} must lie in (0, 1e-2], got {tol}")
+    if rel_tol < _MIN_REL_TOL:
+        raise DomainError(f"rel_tol must be at least 100 machine epsilons "
+                          f"({_MIN_REL_TOL:g}), got {rel_tol:g}")
     if not 1 <= int(n_samples) <= MAX_SAMPLES:
         raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
-    if rel_tol < _MIN_REL_TOL:
-        warnings.warn(f"rel_tol {rel_tol:g} is below 100 machine epsilons; "
-                      f"using {_MIN_REL_TOL:g}", stacklevel=2)
-        rel_tol = _MIN_REL_TOL
     times = np.linspace(t0, t1, int(n_samples))
 
     tab = _dop853_tableau()
@@ -399,10 +397,14 @@ def fixed_point(params: SystemParams) -> FixedPoint:
     f = lambda x: cubic_residual(x, params)
     df = lambda x: (12.0 / k) * x**2 + 0.5 * g
 
-    # Root has the opposite sign to eps; bracket [-max(1,(k|eps|)^(1/3)), 0]
-    # (mirrored for eps < 0).  The cubic is increasing, so f(lo) < 0 < f(hi) unless it overflows.
-    bound = max(1.0, (k * abs(eps)) ** (1.0 / 3.0))
-    lo, hi = (-bound, 0.0) if eps > 0 else (0.0, bound)
+    # Root has the opposite sign to eps, and |root| lies in [s/2, s] for s the
+    # smaller |root| with one of the two x terms left out; bracket [-2s, 0]
+    # (mirrored for eps < 0), so Newton starts within a factor 2 at any scale.
+    # The cubic is increasing, so f(lo) < 0 < f(hi) unless it overflows.
+    s = (k * abs(eps) / 4.0) ** (1.0 / 3.0)
+    if g > 0.0:
+        s = min(s, 2.0 * abs(eps) / g)
+    lo, hi = (-2.0 * s, 0.0) if eps > 0 else (0.0, 2.0 * s)
     if not f(lo) < 0.0 < f(hi):
         raise NumericalError(
             f"no root bracket for the fixed-point cubic at kappa={k:g}, gamma={g:g}, "
@@ -464,9 +466,24 @@ def classify_fixed_point(params: SystemParams, fp: FixedPoint) -> StabilityRepor
     return StabilityReport(eigenvalues=ev, classification=label, max_real_part=mx)
 
 
+def rate_ratio(kappa: float, gamma: float) -> float:
+    """The model's one shape parameter r = gamma/kappa, for kappa > 0 and gamma >= 0.
+
+    With time in units of 1/kappa, beta = kappa B, alpha = kappa A and
+    epsilon = kappa^2 e, the equations of motion depend on r and e alone.
+    So every closed form at the Hopf point is kappa^p f(r), written so that
+    at moderate r only the factor kappa^p can leave the range of floats.
+    """
+    if not (kappa > 0):
+        raise DomainError(f"kappa must be > 0, got {kappa}")
+    if not (gamma >= 0):
+        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    return gamma / kappa
+
+
 def require_representable(name: str, value: float, kappa: float, gamma: float) -> float:
-    """Return ``value``, positive in exact arithmetic; NumericalError if it under- or overflowed."""
-    if not 0.0 < value < math.inf:
+    """Return ``value``, positive in exact arithmetic; NumericalError unless a normal float."""
+    if not sys.float_info.min <= value < math.inf:
         raise NumericalError(
             f"{name} is {value:g}, out of range at kappa={kappa:g}, gamma={gamma:g}")
     return value
@@ -482,41 +499,38 @@ class HopfPoint:
 def hopf_threshold(kappa: float, gamma: float) -> HopfPoint:
     """Drive strength at which the critical point loses stability.
 
-    epsilon_h = sqrt(kappa (kappa+gamma)) (kappa + 2 gamma) / (4 sqrt(2)),
-    with the critical-point coordinates beta_i0h = -sqrt(kappa(kappa+gamma)/8)
-    and alpha_i0h = -(kappa+gamma)/4.
+    With r = gamma/kappa, epsilon_h = kappa^2 sqrt(1+r) (1+2r) / (4 sqrt 2),
+    and the critical point there has beta_i0h = -kappa sqrt((1+r)/8) and
+    alpha_i0h = -kappa (1+r)/4.
     """
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    eps_h = math.sqrt(kappa * (kappa + gamma)) * (kappa + 2.0 * gamma) / (4.0 * math.sqrt(2.0))
-    require_representable("epsilon_h", eps_h, kappa, gamma)
+    r = rate_ratio(kappa, gamma)
+    shape = math.sqrt(1.0 + r) * (1.0 + 2.0 * r) / (4.0 * math.sqrt(2.0))
+    eps_h = kappa * (kappa * shape)  # no kappa^2 to under- or overflow on its own
     return HopfPoint(
-        epsilon_h=eps_h,
-        beta_i0h=-math.sqrt(kappa * (kappa + gamma) / 8.0),
-        alpha_i0h=-(kappa + gamma) / 4.0,
+        epsilon_h=require_representable("epsilon_h", eps_h, kappa, gamma),
+        beta_i0h=-kappa * math.sqrt((1.0 + r) / 8.0),
+        alpha_i0h=-kappa * (1.0 + r) / 4.0,
     )
 
 
 def hopf_frequency(kappa: float, gamma: float) -> float:
-    """Frequency sqrt(kappa (kappa + 2 gamma))/2 of the marginal pair."""
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    return require_representable("omega_h", math.sqrt(kappa * (kappa + 2.0 * gamma)) / 2.0,
+    """Frequency omega_h = kappa sqrt(1+2r)/2 of the marginal pair, r = gamma/kappa."""
+    r = rate_ratio(kappa, gamma)
+    return require_representable("omega_h", kappa * math.sqrt(1.0 + 2.0 * r) / 2.0,
                                  kappa, gamma)
 
 
 def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
     """Closed-form spectrum at the bifurcation, from the two 2x2 blocks.
 
-    The marginal pair is +/- i sqrt(kappa(kappa+2 gamma))/2; the stable
-    pair is -(kappa+gamma)/2 +/- i sqrt(2 kappa(kappa+gamma) - gamma^2)/2,
-    a real pair for gamma > (1 + sqrt 3) kappa.
+    With r = gamma/kappa, the marginal pair is +/- i omega_h and the
+    stable pair is kappa (-(1+r) +/- i sqrt(2(1+r) - r^2))/2, a real pair
+    for r > 1 + sqrt 3.
     """
     om = hopf_frequency(kappa, gamma)
-    re2 = -(kappa + gamma) / 2.0
-    im2 = cmath.sqrt(2.0 * kappa * (kappa + gamma) - gamma**2) / 2.0
+    r = rate_ratio(kappa, gamma)
+    re2 = -kappa * (1.0 + r) / 2.0
+    im2 = kappa * cmath.sqrt(2.0 * (1.0 + r) - r * r) / 2.0
     return np.array([1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2])
 
 

@@ -1,7 +1,7 @@
 """Test-side oracles for the center-manifold reduction.
 
 The printed closed forms of the quadratic manifold coefficients, the
-drive-dependent trace whose finite difference gives d, and the full state
+drive-dependent trace whose finite difference gives -d, and the full state
 on the quadratic manifold.  ``selfpulse.center_manifold`` computes the
 same quantities by other routes; the tests compare the two.
 """
@@ -51,8 +51,7 @@ def closed_form_cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
 def trace_of_epsilon(kappa: float, gamma: float, epsilon: float) -> float:
     """Drive-dependent trace expression -2 beta_i0(eps)^2/kappa - (kappa+gamma)/2.
 
-    Its central finite difference through the threshold equals
-    -trace_derivative/kappa = -d.
+    Its central finite difference through the threshold equals -d.
     """
     fp = fixed_point(SystemParams(kappa=kappa, gamma=gamma, epsilon=epsilon))
     return -2.0 * fp.beta_i0**2 / kappa - (kappa + gamma) / 2.0

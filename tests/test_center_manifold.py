@@ -25,7 +25,6 @@ from selfpulse.center_manifold import (
     center_block,
     lyapunov_coefficient_numeric,
     normal_form_cubics,
-    trace_derivative,
 )
 
 from cm_oracles import (
@@ -136,21 +135,26 @@ class TestRadialGrowthRate:
         assert radial_growth_rate(1.0, 0.1) == pytest.approx(0.872494, abs=1e-6)
 
     def test_underflowed_divisor_raises(self):
-        with pytest.raises(NumericalError, match="kappa=1e-300, gamma=0"):
-            radial_growth_rate(1e-300, 0.0)
+        # the divisor (3 + 4r) kappa is a normal float at 1e-300, and d exact;
+        # at 1e-310 it is subnormal and d overflows
+        assert radial_growth_rate(1e-300, 0.0) * 1e-300 == pytest.approx(
+            2.0 * math.sqrt(2.0) / 3.0, rel=1e-15)
+        with pytest.raises(NumericalError, match="kappa=1e-310, gamma=0"):
+            radial_growth_rate(1e-310, 0.0)
 
     @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.5), (2.0, 0.4)])
     def test_trace_finite_difference(self, kappa, gamma):
         # central difference of the exposed trace through the threshold equals
-        # -trace_derivative/kappa = -d
+        # -d, and d * kappa is sqrt(8 kappa (kappa+gamma)) / (3 kappa + 4 gamma)
         hp = hopf_threshold(kappa, gamma)
         h = 1e-6
         fd = (trace_of_epsilon(kappa, gamma, hp.epsilon_h + h)
               - trace_of_epsilon(kappa, gamma, hp.epsilon_h - h)) / (2.0 * h)
         d = radial_growth_rate(kappa, gamma)
+        unscaled = math.sqrt(8.0 * kappa * (kappa + gamma)) / (3.0 * kappa + 4.0 * gamma)
         assert fd == pytest.approx(-d, abs=1e-6)
-        assert fd == pytest.approx(-trace_derivative(kappa, gamma) / kappa, abs=1e-6)
-        assert trace_derivative(kappa, gamma) == pytest.approx(d * kappa, rel=1e-12)
+        assert fd == pytest.approx(-unscaled / kappa, abs=1e-6)
+        assert unscaled == pytest.approx(d * kappa, rel=1e-12)
 
 
 class TestLyapunovCoefficient:
@@ -164,12 +168,14 @@ class TestLyapunovCoefficient:
         a_num = lyapunov_coefficient_numeric(1.0, 0.1, cm_coefficients(1.0, 0.1))
         assert a_num == pytest.approx(-0.502801, abs=1e-6)
 
-    # kappa^6 underflows the denominator at 1e-300; at 1e-50 only the
-    # numerator's kappa^7 underflows, and a would read -0.0 for -33 kappa/68
+    # a polynomial in kappa and gamma under- or overflowed here; the form in
+    # r = gamma/kappa is exact as long as a itself is a normal float, and
+    # raises where it is subnormal
     @pytest.mark.parametrize("kappa", [1e-300, 1e-50])
     def test_underflow_raises(self, kappa):
-        with pytest.raises(NumericalError, match=f"kappa={kappa:g}"):
-            lyapunov_coefficient(kappa, 0.0)
+        assert lyapunov_coefficient(kappa, 0.0) / kappa == pytest.approx(-33.0 / 68.0, rel=1e-15)
+        with pytest.raises(NumericalError, match="kappa=1e-310, gamma=0"):
+            lyapunov_coefficient(1e-310, 0.0)
 
     def test_supercritical_on_grid(self):
         for kappa in np.geomspace(0.1, 10.0, 20):
@@ -253,3 +259,18 @@ class TestReport:
         }
         assert set(doc["coefficients"]) == {"A1", "B1", "C1", "A2", "B2", "C2"}
         assert doc["epsilon_h"] == pytest.approx(0.222486, abs=1e-6)
+
+    #: The power p of kappa that each closed form carries as kappa^p f(gamma/kappa).
+    POWERS = {"epsilon_h": 2, "omega_h": 1, "d": -1, "a": 1, "a_numeric": 1,
+              "beta_i0h": 1, "alpha_i0h": 1}
+
+    @pytest.mark.parametrize("kappa", np.geomspace(1e-150, 1e150, 13))
+    def test_scales_with_kappa(self, kappa):
+        for r in np.linspace(0.0, 5.0, 11):
+            doc = cm_report(kappa, r * kappa)
+            unit = cm_report(1.0, doc["gamma"] / kappa)
+            for name, p in self.POWERS.items():
+                assert doc[name] == pytest.approx(kappa**p * unit[name], rel=1e-15), name
+            for name, value in doc["coefficients"].items():
+                assert value == pytest.approx(unit["coefficients"][name] / kappa,
+                                              rel=1e-15, abs=0.0), name

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -88,27 +89,62 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("args, named", [
-        (["hopf", "--kappa", "1e300"], "kappa=1e+300"),  # epsilon_h overflows
-        (["hopf", "--kappa", "1e-300"], "kappa=1e-300"),  # kappa^2 underflows into a divisor
+        (["hopf", "--kappa", "1e300"], ("epsilon_h", "kappa=1e+300")),  # overflows
+        (["hopf", "--kappa", "1e-300"], ("epsilon_h", "kappa=1e-300")),  # underflows to 0
         (["limit-cycle", "--delta-eps", "0.01", "--t-periods", "1e9"],  # above MAX_SAMPLES
-         "n_samples"),
+         ("n_samples",)),
         # epsilon_h and omega_h underflow to 0 instead of dividing by it
         (["sweep", "--kappa-grid", "1e-300:1e-300:1", "--gamma-grid", "0:0:1",
-          "--quantities", "epsilon_h,omega_h"], "kappa=1e-300"),
-        # kappa**6 in the closed form of a raises OverflowError
-        (["hopf", "--kappa", "1e100"], "kappa=1e+100"),
-        (["sweep", "--kappa-grid", "1e100:1e100:1", "--gamma-grid", "0:0:1",
-          "--quantities", "a"], "kappa=1e+100"),
+          "--quantities", "epsilon_h,omega_h"], ("kappa=1e-300",)),
+        # epsilon_h = kappa^2/(4 sqrt 2) just past either end of the normal floats:
+        # subnormal at 1e-160 and 1e-161, inf at 1e160
+        (["hopf", "--kappa", "1e-160"], ("epsilon_h", "kappa=1e-160, gamma=0")),
+        (["hopf", "--kappa", "1e160"], ("epsilon_h", "kappa=1e+160, gamma=0")),
+        (["sweep", "--kappa-grid", "1e-161:1e-161:1", "--gamma-grid", "0:0:1",
+          "--quantities", "epsilon_h"], ("epsilon_h", "kappa=1e-161, gamma=0")),
         # the vector field overflows at the first step: the time reached is 0
-        (["simulate", "--beta0", "1e200", "--t-final", "1"], "t=0:"),
-        (["simulate", "--epsilon", "1e300", "--t-final", "10"], "t=0:"),
-    ], ids=["overflow", "underflow", "samples", "sweep_underflow", "a_overflow",
-            "sweep_a_overflow", "simulate_state_overflow", "simulate_drive_overflow"])
+        (["simulate", "--beta0", "1e200", "--t-final", "1"], ("t=0:",)),
+        (["simulate", "--epsilon", "1e300", "--t-final", "10"], ("t=0:",)),
+        # below 100 machine epsilons, refused rather than raised in silence
+        (["simulate", "--rel-tol", "1e-15", "--t-final", "1"], ("rel_tol",)),
+    ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
+            "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
+            "simulate_drive_overflow", "rel_tol_below_floor"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
-        assert named in r.stderr  # the message names the input to change
+        for part in named:  # the message names the input to change
+            assert part in r.stderr
+
+    # a polynomial in kappa and gamma overflowed here (kappa^6 in a's
+    # denominator) and the runs exited 2; a ~ -33 kappa/68 is representable
+    @pytest.mark.parametrize("args", [
+        ["hopf", "--kappa", "1e60"],
+        ["hopf", "--kappa", "1e100"],
+        ["sweep", "--kappa-grid", "1e100:1e100:1", "--gamma-grid", "0:0:1", "--quantities", "a"],
+    ], ids=["hopf_1e60", "hopf_1e100", "sweep_1e100"])
+    def test_representable_a_exits_0(self, args, tmp_path):
+        r = run_cli(args + ["--out", str(tmp_path)])
+        assert r.returncode == 0 and r.stderr == ""
+        if args[0] == "hopf":
+            doc = json.loads((tmp_path / "hopf.json").read_text())
+            assert doc["a_numeric"] == pytest.approx(doc["a"], rel=1e-12)
+        else:
+            doc = dict(zip(*csv.reader((tmp_path / "sweep.csv").open())))
+        assert float(doc["a"]) / float(doc["kappa"]) == pytest.approx(-33.0 / 68.0, rel=1e-15)
+
+    def test_sweep_keeps_digits_at_tiny_kappa(self, tmp_path):
+        # omega_h, d and a are normal floats at kappa = 1e-161 and exact to
+        # rounding; epsilon_h is subnormal there and refused (exit 2 above)
+        r = run_cli(["sweep", "--kappa-grid", "1e-161:1e-161:1", "--gamma-grid", "0:0:1",
+                     "--quantities", "omega_h,d,a", "--out", str(tmp_path)])
+        assert r.returncode == 0 and r.stderr == ""
+        row = {k: float(v) for k, v in zip(*csv.reader((tmp_path / "sweep.csv").open()))}
+        kappa = row["kappa"]
+        assert row["omega_h"] == pytest.approx(kappa / 2.0, rel=1e-15)
+        assert row["d"] == pytest.approx(2.0 * math.sqrt(2.0) / (3.0 * kappa), rel=1e-15)
+        assert row["a"] == pytest.approx(-33.0 * kappa / 68.0, rel=1e-15)
 
     def test_numerical_failure_exits_2(self, tmp_path):
         r = run_cli(["figure2", "--eps-list", "0.01,0.3", "--out", str(tmp_path)])

@@ -148,6 +148,25 @@ class TestFixedPoint:
         minus = fixed_point(params_at(kappa, gamma, -eps))
         assert plus.beta_i0 == pytest.approx(-minus.beta_i0, rel=1e-12)
 
+    # In units of 1/kappa the cubic depends on r = gamma/kappa and
+    # e = epsilon/kappa^2 alone, so the critical point scales as kappa.
+    # Past kappa ~ 1e100 at these drives, beta_i0^3 overflows in the cubic.
+    @pytest.mark.parametrize("kappa", [1e-100, 1e-30, 1e-3, 0.37, 3.0, 1e3, 1e30, 1e100])
+    def test_scales_with_kappa(self, kappa):
+        for r in (0.0, 0.1, 2.0, 5.0):
+            for e in (1e-6, 0.13, -0.5, 100.0):
+                p = params_at(kappa, r * kappa, e * kappa * kappa)
+                unit = fixed_point(params_at(1.0, p.gamma / kappa, p.epsilon / kappa / kappa))
+                fp = fixed_point(p)
+                assert fp.beta_i0 == pytest.approx(kappa * unit.beta_i0, rel=1e-14)
+                assert fp.alpha_i0 == pytest.approx(kappa * unit.alpha_i0, rel=1e-14)
+
+    def test_tiny_drive(self):
+        # the root is -6.3e-41; from a bracket of fixed width [-1, 0] Newton
+        # needed more steps than the loop allows and returned -3.0e-36
+        fp = fixed_point(params_at(1.0, 0.0, 1e-120))
+        assert fp.beta_i0 == pytest.approx(-(2.5e-121) ** (1.0 / 3.0), rel=1e-14)
+
 
 class TestJacobian:
     def test_decoupled_at_zero_drive(self):
@@ -297,10 +316,24 @@ class TestIntegrate:
         p = params_at(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             integrate(np.zeros(4), p, (0.0, 1.0), rel_tol=0.5)
+        with pytest.raises(DomainError, match="100 machine epsilons"):
+            integrate(np.zeros(4), p, (0.0, 1.0), rel_tol=1e-15)
         with pytest.raises(DomainError):
             integrate(np.zeros(4), p, (0.0, 1.0), abs_tol=0.0)
         with pytest.raises(DomainError):
             integrate(np.zeros(4), p, (0.0, math.inf))
+
+    def test_scales_with_kappa(self):
+        # kappa Y(kappa t), with Y the unit-kappa solution from y0/kappa at
+        # r = gamma/kappa and e = epsilon/kappa^2, solves the equations at kappa
+        kappa, gamma = 3.0, 0.6
+        p = params_at(kappa, gamma, 1.02 * hopf_threshold(kappa, gamma).epsilon_h)
+        unit = params_at(1.0, gamma / kappa, p.epsilon / kappa / kappa)
+        y0 = fixed_point(p).to_vector() + np.array([0.15, 0.0, 0.0, 0.0])
+        T = 10.0 * 2.0 * math.pi / hopf_frequency(kappa, gamma)
+        a = integrate(y0, p, (0.0, T), rel_tol=1e-11, n_samples=500)
+        b = integrate(y0 / kappa, unit, (0.0, kappa * T), rel_tol=1e-11, n_samples=500)
+        assert np.max(np.abs(a.y - kappa * b.y)) <= 1e-9 * np.max(np.abs(a.y))
 
     def test_deterministic(self):
         p = params_at(1.0, 0.1, 0.2)
