@@ -236,11 +236,18 @@ def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     P = 99 + 490r + 808r^2 + 512r^3 + 128r^4 and
     Q = 51 + 284r + 576r^2 + 480r^3 + 128r^4, so a = -33 kappa/68 at
     gamma = 0.  ``lyapunov_coefficient_numeric`` is the independent route
-    through the tangency solve, and ``cm_report`` reports both.
+    through the tangency solve, and ``cm_report`` reports both.  For r > 1,
+    P/Q is evaluated as the ratio of the reversed polynomials in 1/r, since
+    r^4 overflows from r ~ 1e77 while a ~ -kappa (1+r)/4 stays representable.
     """
     r = rate_ratio(kappa, gamma)
-    p = 99.0 + r * (490.0 + r * (808.0 + r * (512.0 + r * 128.0)))
-    q = 51.0 + r * (284.0 + r * (576.0 + r * (480.0 + r * 128.0)))
+    if r <= 1.0:
+        p = 99.0 + r * (490.0 + r * (808.0 + r * (512.0 + r * 128.0)))
+        q = 51.0 + r * (284.0 + r * (576.0 + r * (480.0 + r * 128.0)))
+    else:
+        s = 1.0 / r
+        p = 128.0 + s * (512.0 + s * (808.0 + s * (490.0 + s * 99.0)))
+        q = 128.0 + s * (480.0 + s * (576.0 + s * (284.0 + s * 51.0)))
     return -require_representable("|a|", kappa * (1.0 + r) * p / (4.0 * q), kappa, gamma)
 
 

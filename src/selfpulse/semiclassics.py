@@ -8,12 +8,10 @@ general chi is handled by ``model.rescale_to_unit_chi``.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -163,35 +161,6 @@ class Trajectory:
         write_csv(path, TRAJECTORY_HEADER, np.column_stack([self.times, self.y]))
 
 
-class _Tableau(NamedTuple):
-    """DOP853's coefficients as ((stage index, coefficient), ...) rows, zeros left out.
-
-    The vector field is autonomous, so the stage times (scipy's C and
-    C_EXTRA) are not needed.
-    """
-
-    stages: tuple  # stages 1 to 11 of a step, each from the stages before it
-    b: tuple  # the 8th-order solution
-    e5: tuple  # the 5th- and 3rd-order error estimates
-    e3: tuple
-    extra: tuple  # the three further stages of the interpolant
-    d: tuple  # the interpolant's rows F3 to F6
-
-
-@functools.cache
-def _dop853_tableau() -> _Tableau:
-    # deferred: a start-up cost most commands never use
-    from scipy.integrate import DOP853
-
-    def rows(matrix):
-        return tuple(tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
-                     for row in matrix)
-
-    b, e5, e3 = rows([DOP853.B, DOP853.E5, DOP853.E3])
-    return _Tableau(stages=rows(DOP853.A[1:]), b=b, e5=e5, e3=e3,
-                    extra=rows(DOP853.A_EXTRA), d=rows(DOP853.D))
-
-
 def _combine(row, ks):
     """The sum of c * ks[j] over (j, c) in ``row``, added left to right, as 4 floats."""
     s0 = s1 = s2 = s3 = 0.0
@@ -307,7 +276,7 @@ def integrate(
         raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
     times = np.linspace(t0, t1, int(n_samples))
 
-    tab = _dop853_tableau()
+    from . import _dop853 as tab  # deferred: a start-up cost most commands never use
     f = vector_field  # the module attribute, so that a replacement of it is what runs
     t, y = t0, tuple(y0.tolist())
     fy = f(y, params)
@@ -325,13 +294,13 @@ def integrate(
             t_new = min(t + h_abs, t1)
             h = t_new - t
             ks = [fy]
-            for row in tab.stages:
+            for row in tab.STAGES:
                 ks.append(f(_stage(y, h, row, ks), params))
-            y_new = _stage(y, h, tab.b, ks)
+            y_new = _stage(y, h, tab.B, ks)
             f_new = f(y_new, params)
             ks.append(f_new)
             scale = [abs_tol + max(abs(a), abs(b)) * rel_tol for a, b in zip(y, y_new)]
-            error = _error_norm(_combine(tab.e5, ks), _combine(tab.e3, ks), scale, h)
+            error = _error_norm(_combine(tab.E5, ks), _combine(tab.E3, ks), scale, h)
             if error < 1.0:
                 factor = (MAX_FACTOR if error == 0.0
                           else min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT))
@@ -340,14 +309,14 @@ def integrate(
             h_abs = h * max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
         # the accepted step's interpolant: three more stages, then rows y_old, F0 to F6
-        for row in tab.extra:
+        for row in tab.EXTRA:
             ks.append(f(_stage(y, h, row, ks), params))
         dy = [b - a for a, b in zip(y, y_new)]
         record.extend(y)
         record.extend(dy)
         record.extend([h * a - d for a, d in zip(fy, dy)])
         record.extend([2.0 * d - h * (b + a) for d, a, b in zip(dy, fy, f_new)])
-        for row in tab.d:
+        for row in tab.D:
             record.extend([h * s for s in _combine(row, ks)])
         t, y, fy = t_new, y_new, f_new
         ts.append(t)
@@ -376,8 +345,14 @@ class FixedPoint:
 
 
 def cubic_residual(x: float, params: SystemParams) -> float:
-    """Value of (4/kappa) x^3 + (gamma/2) x + epsilon."""
-    return (4.0 / params.kappa) * x**3 + 0.5 * params.gamma * x + params.epsilon
+    """Value of (4/kappa) x^3 + (gamma/2) x + epsilon; NumericalError if x^3 overflows."""
+    try:
+        cube = x**3
+    except OverflowError:
+        raise NumericalError(
+            f"the fixed-point cubic overflows at kappa={params.kappa:g}, "
+            f"gamma={params.gamma:g}, epsilon={params.epsilon:g}") from None
+    return (4.0 / params.kappa) * cube + 0.5 * params.gamma * x + params.epsilon
 
 
 def fixed_point(params: SystemParams) -> FixedPoint:
@@ -534,6 +509,59 @@ def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
     return np.array([1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2])
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign, to xtol + 4 eps |x|.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) as scipy's ``brentq`` takes it, step for step: the port of its
+    brentq.c, with its relative tolerance of 4 machine epsilons and its 100
+    iterations, so that both return the same float.  ``f`` maps a float to
+    a float.  Raises ValueError when f(xa) and f(xb) have the same sign.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({xa:g}) and f({xb:g}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre  # the bracket is [xcur, xblk]
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or nan, which bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(f"Brent's method did not converge in 100 iterations on "
+                         f"[{xa:g}, {xb:g}]; last x={xcur:g}")
+
+
 @dataclass(frozen=True)
 class LimitCycleMeasurement:
     period: float
@@ -587,14 +615,13 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     # 1e-14 * max(1, |t|).
     on = (br[:-1] == 0.0) & (ar[:-1] < 0.0)
     across = (br[:-1] * br[1:] < 0.0) & (0.5 * (ar[:-1] + ar[1:]) < 0.0)
-    # deferred, as in integrate; scipy.integrate has already loaded it
-    from scipy.optimize import brentq
 
     def beta_r(t):
-        return traj.dense(t)[0]
+        return float(traj.dense(t)[0])
 
     crossings = [ts[i] if on[i] else
-                 brentq(beta_r, ts[i], ts[i + 1], xtol=1e-14 * max(1.0, abs(ts[i + 1])))
+                 _brentq(beta_r, float(ts[i]), float(ts[i + 1]),
+                         1e-14 * max(1.0, abs(ts[i + 1])))
                  for i in np.flatnonzero(on | across)]
 
     tc = np.asarray(crossings)

@@ -177,6 +177,19 @@ class TestLyapunovCoefficient:
         with pytest.raises(NumericalError, match="kappa=1e-310, gamma=0"):
             lyapunov_coefficient(1e-310, 0.0)
 
+    @pytest.mark.parametrize("r", [2.0, 10.0, 77.0])
+    def test_large_rate_ratio_form_matches_the_form_in_r(self, r):
+        p = 99.0 + r * (490.0 + r * (808.0 + r * (512.0 + r * 128.0)))
+        q = 51.0 + r * (284.0 + r * (576.0 + r * (480.0 + r * 128.0)))
+        assert lyapunov_coefficient(1.0, r) == pytest.approx(-(1.0 + r) * p / (4.0 * q),
+                                                             rel=1e-15)
+
+    def test_large_rate_ratio_stays_finite(self):
+        # r = 1e80: r^4 overflows P and Q, and P/Q = 1 + O(1/r)
+        kappa, gamma = 1e-100, 1e-20
+        assert lyapunov_coefficient(kappa, gamma) == pytest.approx(
+            -kappa * (1.0 + gamma / kappa) / 4.0, rel=1e-15)
+
     def test_supercritical_on_grid(self):
         for kappa in np.geomspace(0.1, 10.0, 20):
             for gamma in np.linspace(0.0, kappa, 20):

@@ -107,9 +107,12 @@ class TestExitCodes:
         (["simulate", "--epsilon", "1e300", "--t-final", "10"], ("t=0:",)),
         # below 100 machine epsilons, refused rather than raised in silence
         (["simulate", "--rel-tol", "1e-15", "--t-final", "1"], ("rel_tol",)),
+        # x^3 of the cubic's bracket end overflows
+        (["fixed-point", "--kappa", "1e150", "--gamma", "1e149", "--epsilon", "1.3e299"],
+         ("kappa=1e+150", "gamma=1e+149", "epsilon=1.3e+299")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
-            "simulate_drive_overflow", "rel_tol_below_floor"])
+            "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
@@ -425,6 +428,10 @@ if rc or loaded:
      "--quantities", "epsilon_h,omega_h,d,a,d_phi", "--delta-eps", "0.01"],
     ["spectrum", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.13", "--elements", "33,11"],
     ["figure2"],
+    ["simulate", "--t-final", "5"],
+    ["limit-cycle", "--delta-eps", "0.05", "--t-periods", "20"],
+    ["figure1", "--pairs", "1,0", "--delta-eps-fracs", "0.05", "--t-periods", "40"],
+    ["phase-diffusion", "--delta-eps", "0.05", "--n-ensemble", "100", "--t-final", "5"],
 ], ids=lambda args: args[0])
 def test_closed_form_commands_do_not_import_scipy(tmp_path, args):
     out = [] if args == ["--version"] else ["--out", str(tmp_path)]

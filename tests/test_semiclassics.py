@@ -35,12 +35,14 @@ def params_at(kappa, gamma, epsilon):
     return SystemParams(kappa=kappa, gamma=gamma, epsilon=epsilon)
 
 
-def _reference_crossings(traj, transient_fraction=0.5):
+def _reference_crossings(traj, transient_fraction=0.5, root=None):
     """Section crossing times by a loop over samples and an 80-step bisection.
 
     The route ``detect_limit_cycle`` took before its vectorised pass, kept
-    as an independent reference.
+    as an independent reference.  ``root(f, ta, tb)``, if given, replaces
+    the bisection on each bracket.
     """
+    root = root or _reference_bisection
     t0, t1 = traj.times[0], traj.times[-1]
     sel = traj.times >= t0 + transient_fraction * (t1 - t0)
     ts, br, ar = traj.times[sel], traj.y[sel, 0], traj.y[sel, 2]
@@ -49,7 +51,7 @@ def _reference_crossings(traj, transient_fraction=0.5):
         if br[i] == 0.0 and ar[i] < 0.0:
             crossings.append(ts[i])
         elif br[i] * br[i + 1] < 0.0 and 0.5 * (ar[i] + ar[i + 1]) < 0.0:
-            crossings.append(_reference_bisection(lambda t: traj.dense(t)[0], ts[i], ts[i + 1]))
+            crossings.append(root(lambda t: traj.dense(t)[0], ts[i], ts[i + 1]))
     return np.asarray(crossings)
 
 
@@ -404,8 +406,36 @@ def _assert_same_integration(traj, ref, t_check):
     assert np.max(np.abs(states - ref.sol(t_check))) <= 1e-11 * scale
 
 
+def _scipy_brentq(f, ta, tb):
+    """scipy's brentq on a crossing bracket, at detect_limit_cycle's tolerance."""
+    from scipy.optimize import brentq
+
+    return brentq(f, ta, tb, xtol=1e-14 * max(1.0, abs(tb)))
+
+
 class TestScipyRoute:
-    """Second route for integrate: scipy's own DOP853 stepper."""
+    """Second route for integrate and its crossings: scipy's own DOP853 and brentq."""
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate import DOP853
+
+        from selfpulse import _dop853
+
+        def dense(rows, width):
+            m = np.zeros((len(rows), width))
+            for i, row in enumerate(rows):
+                stages = [j for j, _ in row]
+                assert stages == sorted(set(stages))  # _combine adds in stage order
+                for j, c in row:
+                    m[i, j] = c
+            return m
+
+        assert np.array_equal(dense(_dop853.STAGES, 12), DOP853.A[1:])
+        assert np.array_equal(dense([_dop853.B], 12)[0], DOP853.B)
+        assert np.array_equal(dense([_dop853.E5], 13)[0], DOP853.E5)
+        assert np.array_equal(dense([_dop853.E3], 13)[0], DOP853.E3)
+        assert np.array_equal(dense(_dop853.EXTRA, 16), DOP853.A_EXTRA)
+        assert np.array_equal(dense(_dop853.D, 16), DOP853.D)
 
     @pytest.mark.parametrize("kappa, gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)])
     def test_criterion_3_orbits(self, kappa, gamma):
@@ -421,6 +451,8 @@ class TestScipyRoute:
         assert meas.converged and meas.n_crossings >= 70
         _assert_same_integration(traj, _scipy_dop853(y0, p, t_final, traj.times),
                                  meas.crossing_times)
+        # every crossing bracket refined to the same float as scipy's brentq
+        assert np.array_equal(meas.crossing_times, _reference_crossings(traj, root=_scipy_brentq))
 
     def test_default_simulate_run(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
@@ -434,6 +466,51 @@ class TestScipyRoute:
         midpoints = 0.5 * (traj.dense.ts[1:] + traj.dense.ts[:-1])
         _assert_same_integration(traj, _scipy_dop853(y0, p, q["t_final"], traj.times),
                                  midpoints)
+
+
+class TestBrentq:
+    """The in-package Brent root finder returns scipy's brentq's float."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (math.sin, 3.0, 4.0),
+        (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+        (lambda x: math.atan(x - 0.3), -3.7, 3.6),
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.tanh(50.0 * (x - 0.1234)), -2.0, 3.0),
+        (lambda x: -1.0 if x < 0.3 else 1.0, -1.0, 2.0),  # a jump: equal values, no secant
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # products of two values underflow
+    ], ids=["cubic", "sin", "exp", "atan", "sqrt2", "tanh", "step", "tiny"])
+    @pytest.mark.parametrize("xtol", [1e-3, 2e-12, 1e-14, 5e-324])
+    def test_matches_scipy(self, f, a, b, xtol):
+        from scipy.optimize import brentq
+
+        assert semiclassics._brentq(f, a, b, xtol).hex() == brentq(f, a, b, xtol=xtol).hex()
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 1.0)])
+    def test_root_at_an_endpoint(self, a, b):
+        from scipy.optimize import brentq
+
+        f = lambda x: x - 1.0  # noqa: E731
+        assert semiclassics._brentq(f, a, b, 1e-12) == brentq(f, a, b, xtol=1e-12) == 1.0
+
+    def test_no_convergence_in_100_iterations_raises(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: (x - 1e-3) ** 5  # noqa: E731
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(f, -1.0, 2.0)
+        with pytest.raises(NumericalError, match="100 iterations"):
+            semiclassics._brentq(f, -1.0, 2.0, 2e-12)
+
+    def test_agreeing_signs_raise(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: x * x + 1.0  # noqa: E731
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            semiclassics._brentq(f, -1.0, 1.0, 2e-12)
 
 
 class TestDetectLimitCycle:
