@@ -500,12 +500,19 @@ def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
 
     With r = gamma/kappa, the marginal pair is +/- i omega_h and the
     stable pair is kappa (-(1+r) +/- i sqrt(2(1+r) - r^2))/2, a real pair
-    for r > 1 + sqrt 3.
+    for r > 1 + sqrt 3.  The small root of a real pair is taken as the
+    pair's product kappa^2 (4r + 3)/4 over the large root, since
+    -(1+r) + sqrt(r^2 - 2r - 2) cancels as r grows.
     """
     om = hopf_frequency(kappa, gamma)
     r = rate_ratio(kappa, gamma)
     re2 = -kappa * (1.0 + r) / 2.0
-    im2 = kappa * cmath.sqrt(2.0 * (1.0 + r) - r * r) / 2.0
+    disc = 2.0 * (1.0 + r) - r * r
+    if disc < 0.0:
+        s = math.sqrt(-disc)
+        small = -kappa * (4.0 * r + 3.0) / (2.0 * (1.0 + r + s))
+        return np.array([1j * om, -1j * om, re2 - kappa * s / 2.0, small + 0j])
+    im2 = kappa * cmath.sqrt(disc) / 2.0
     return np.array([1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2])
 
 

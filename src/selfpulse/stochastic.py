@@ -1,7 +1,10 @@
 """Monte-Carlo layer: linearized SDE ensembles and on-cycle phase noise.
 
-Every ensemble (linearized, reduced and full mode) runs on one
-Euler-Maruyama stepper, ``_euler_maruyama``, with its own step function.
+Every ensemble (linearized, reduced and full mode) is an Euler-Maruyama
+chain driven by the same per-member normals.  The linearized chain is
+linear in its state, so ``simulate_linear_sde`` evaluates it by blocks of
+steps, one matrix product per block; the nonlinear reduced and full modes
+step through ``_euler_maruyama``, each with its own step function.
 
 Reproducibility contract: every ensemble member draws from its own
 Philox4x64 stream with key = seed and counter high word = member index,
@@ -38,6 +41,8 @@ from .semiclassics import (
 )
 
 _ANALYSIS_STREAM = 2**62
+#: Steps of the linear chain advanced by one matrix product.
+_BLOCK = 32
 
 
 def member_rng(seed: int, member: int) -> np.random.Generator:
@@ -53,17 +58,16 @@ def _member_normals(seed: int, members: range, n_steps: int) -> np.ndarray:
     return xi
 
 
-def _euler_maruyama(config, state, step, out: np.ndarray, observe, member_offset: int = 0):
+def _euler_maruyama(config, state, step, out: np.ndarray, observe):
     """Run an ensemble through burn-in and ``config.n_steps`` recorded steps.
 
     ``step(state, dw)`` advances the whole batch given its normals ``dw``,
-    shape (n, 2), member i drawing from stream ``member_offset + i``.
+    shape (n, 2), member i drawing from stream i.
     ``observe(state)`` is written to ``out[:, 0]`` after burn-in and to
     ``out[:, j]`` after the j-th recorded step.  Returns the final state.
     """
     n_burn = int(round(config.burn_in / config.dt))
-    xi = _member_normals(config.seed, range(member_offset, member_offset + config.n_ensemble),
-                         n_burn + config.n_steps)
+    xi = _member_normals(config.seed, range(config.n_ensemble), n_burn + config.n_steps)
     if n_burn == 0:
         out[:, 0] = observe(state)
     for k in range(xi.shape[1]):
@@ -105,6 +109,24 @@ def default_cycle_dt(kappa: float, gamma: float) -> float:
     return min(0.01 / om_h, 0.05 / lam)
 
 
+def _linear_block_maps(M: np.ndarray, noise_scale: np.ndarray, L: int):
+    """P = [M, M^2, ..., M^L], shape (4, 4L), and the noise map T, shape (2L, 4L).
+
+    For the chain x_{k+1} = x_k M + c_k with c_k = noise_scale * xi_k on
+    channels 0 and 1, the states of a block are
+    [x_{k+1}, ..., x_{k+L}] = x_k P + [xi_k, ..., xi_{k+L-1}] T,
+    where block (i, j) of T is rows 0-1 of M^(j-i), scaled, for j >= i.
+    """
+    powers = [np.eye(4)]
+    for _ in range(L):
+        powers.append(powers[-1] @ M)
+    T = np.zeros((L, 2, L, 4))
+    for lag in range(L):
+        i = np.arange(L - lag)
+        T[i, :, i + lag] = noise_scale[:, None] * powers[lag][:2]
+    return np.hstack(powers[1:]), T.reshape(2 * L, 4 * L)
+
+
 def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
                         member_offset: int = 0) -> np.ndarray:
     """Euler-Maruyama ensemble of the linearized equations.
@@ -112,9 +134,12 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
     Independent real unit-variance Gaussian increments feed the two
     nonzero noise channels through sqrt(D_ii); because A and D are real
     at the fixed point the paths are real and the conjugate-pair
-    components agree in distribution.  Members are stepped together
-    but draw their noise from their own streams, so batching does not change
-    a member's noise; paths match a member-by-member loop to rounding only.
+    components agree in distribution.  Each Euler step is linear,
+    x_{k+1} = x_k (I - dt A^T) + c_k, so the chain is evaluated by blocks
+    of ``_BLOCK`` steps, one matrix product per block, from the same
+    per-member normals a step-by-step loop would draw.  A member's path
+    does not depend on batching or ensemble size, bit for bit, and
+    matches a member-by-member loop to rounding only.
 
     Returns
     -------
@@ -128,27 +153,49 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
         raise DomainError(
             f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
         )
-    sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
     dt = config.dt
-    sq = math.sqrt(dt)
-    mAT = -A.T
+    sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
+    L = _BLOCK
+    P, T = _linear_block_maps(np.eye(4) - dt * A.T, sqD * math.sqrt(dt), L)
+    n_burn = int(round(config.burn_in / dt))
+    n_steps = config.n_steps
+    xi = _member_normals(config.seed, range(member_offset, member_offset + config.n_ensemble),
+                         n_burn + n_steps)
+    # numpy hands a one-row product to gemv, which rounds unlike the gemm of
+    # a batch; a duplicate row keeps a lone member's bits equal to its batched ones.
+    if config.n_ensemble == 1:
+        xi = np.concatenate([xi, xi])
+    rows = len(xi)
 
-    def step(x, dw):
-        x = x + dt * (x @ mAT)
-        x[:, :2] += sqD * sq * dw
-        return x
-
-    out = np.empty((config.n_ensemble, config.n_steps + 1, 4))
-    _euler_maruyama(config, np.zeros((config.n_ensemble, 4)), step, out, lambda x: x,
-                    member_offset)
-    return out
+    x = np.zeros((rows, 4))
+    for k in range(0, n_burn, L):  # burn-in needs only the last state of a block
+        l = min(L, n_burn - k)
+        last = slice(4 * l - 4, 4 * l)
+        x = x @ P[:, last] + xi[:, k:k + l].reshape(rows, 2 * l) @ T[:2 * l, last]
+    out = np.empty((rows, n_steps + 1, 4))
+    out[:, 0] = x
+    flat = out.reshape(rows, -1)
+    for k in range(0, n_steps, L):
+        l = min(L, n_steps - k)
+        block = flat[:, 4 * k + 4:4 * (k + l) + 4]
+        np.matmul(xi[:, n_burn + k:n_burn + k + l].reshape(rows, 2 * l), T[:2 * l, :4 * l],
+                  out=block)
+        block += x @ P[:, :4 * l]
+        x = block[:, -4:]
+    return out[:config.n_ensemble]
 
 
 def stationary_covariance(model: LinearNoiseModel) -> np.ndarray:
-    """Stationary covariance from the Lyapunov equation A S + S A^T = D."""
-    from scipy.linalg import solve_continuous_lyapunov  # deferred: a start-up cost
+    """Stationary covariance S from the Lyapunov equation A S + S A^T = D.
 
-    return solve_continuous_lyapunov(model.drift_A, model.diffusion_D)
+    Solved as the 16x16 linear system (A (x) I + I (x) A) vec(S) = vec(D),
+    with vec row-major.  Unlike a route through the eigenvectors of A, this
+    stays accurate where A is defective.
+    """
+    A = model.drift_A
+    eye = np.eye(len(A))
+    K = np.kron(A, eye) + np.kron(eye, A)
+    return np.linalg.solve(K, model.diffusion_D.ravel()).reshape(A.shape)
 
 
 def estimate_psd(paths: np.ndarray, dt: float, omega_ref: float = None):

@@ -440,6 +440,24 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path, args):
     assert r.returncode == 0, r.stderr
 
 
+_LIBRARY_NO_SCIPY = """
+import sys
+from selfpulse import (SDEConfig, SystemParams, linear_noise_model, simulate_linear_sde,
+                       stationary_covariance)
+model = linear_noise_model(SystemParams(kappa=1.0, gamma=0.1, epsilon=0.13))
+stationary_covariance(model)
+simulate_linear_sde(model, SDEConfig(dt=0.03, n_steps=50, n_ensemble=3, seed=1, burn_in=1.0))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded[:5]}")
+"""
+
+
+def test_linear_sde_library_calls_do_not_import_scipy():
+    r = subprocess.run([sys.executable, "-c", _LIBRARY_NO_SCIPY], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 class TestReplay:
     @pytest.mark.parametrize("args,manifest", [
         (["fixed-point", "--kappa", "1.3", "--gamma", "0.2", "--epsilon", "0.1"],

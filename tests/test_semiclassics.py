@@ -187,6 +187,20 @@ class TestJacobian:
         expected = hopf_eigenvalues(kappa, gamma)
         assert np.allclose(np.sort_complex(ev), np.sort_complex(expected), atol=1e-8)
 
+    @pytest.mark.parametrize("r", [5.0, 100.0])
+    def test_real_stable_pair_matches_eigvals(self, r):
+        p = params_at(1.0, r, hopf_threshold(1.0, r).epsilon_h)
+        numeric = np.sort(np.linalg.eigvals(jacobian(fixed_point(p), p)).real)[:2]
+        closed = hopf_eigenvalues(1.0, r)[2:]
+        assert np.all(closed.imag == 0.0)
+        assert np.allclose(closed.real, numeric, rtol=1e-12, atol=0.0)
+
+    # -(1+r) + sqrt(r^2 - 2r - 2) cancels to 0 here; the small root is -kappa (1 + 3/(4r)).
+    @pytest.mark.parametrize("kappa, r", [(1.0, 1e16), (1.0, 1e20), (1e-100, 1e80)])
+    def test_small_stable_root_at_large_r(self, kappa, r):
+        small = hopf_eigenvalues(kappa, kappa * r)[3]
+        assert small.real == pytest.approx(-kappa * (1.0 + 0.75 / r), rel=1e-15, abs=0.0)
+
     def test_matches_finite_differences(self):
         p = params_at(0.9, 0.25, 0.17)
         fp = fixed_point(p)

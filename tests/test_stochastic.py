@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -32,6 +33,10 @@ from selfpulse.stochastic import (
 )
 
 MODEL = linear_noise_model(SystemParams(kappa=1.0, gamma=0.1, epsilon=0.13))
+# At (kappa, gamma) = (1, 3) and this drive, two real eigenvalues of A meet
+# and turn into a complex pair, so A is defective.
+EXCEPTIONAL_MODEL = linear_noise_model(SystemParams(
+    kappa=1.0, gamma=3.0, epsilon=0.13988353140405302 * hopf_threshold(1.0, 3.0).epsilon_h))
 
 
 def _reference_linear_sde(model, config):
@@ -88,18 +93,24 @@ class TestSimulateLinearSde:
         cfg = SDEConfig(dt=0.02, n_steps=50, n_ensemble=4, seed=9)
         assert np.array_equal(simulate_linear_sde(MODEL, cfg), simulate_linear_sde(MODEL, cfg))
 
-    def test_batched_matches_sequential(self):
-        cfg = SDEConfig(dt=0.02, n_steps=80, n_ensemble=6, seed=3, burn_in=0.5)
+    # The chain is evaluated in blocks of _BLOCK steps: cover a burn-in that is
+    # not a whole number of blocks, none at all, and a run shorter than a block.
+    @pytest.mark.parametrize("n_steps, burn_in", [(80, 0.5), (80, 0.0), (10, 0.3), (200, 1.5)],
+                             ids=["default", "no-burn-in", "under-one-block", "burn-in-75-steps"])
+    def test_batched_matches_sequential(self, n_steps, burn_in):
+        cfg = SDEConfig(dt=0.02, n_steps=n_steps, n_ensemble=6, seed=3, burn_in=burn_in)
         a = _reference_linear_sde(MODEL, cfg)
         b = simulate_linear_sde(MODEL, cfg)
         assert np.allclose(a, b, atol=1e-13)
 
-    def test_batching_does_not_change_member_paths(self):
-        cfg_all = SDEConfig(dt=0.02, n_steps=40, n_ensemble=4, seed=5)
-        cfg_tail = SDEConfig(dt=0.02, n_steps=40, n_ensemble=2, seed=5)
-        full = simulate_linear_sde(MODEL, cfg_all)
-        tail = simulate_linear_sde(MODEL, cfg_tail, member_offset=2)
-        assert np.array_equal(full[2:], tail)
+    @pytest.mark.parametrize("cfg, n_all, offset", [
+        (SDEConfig(dt=0.02, n_steps=40, n_ensemble=2, seed=5), 4, 2),
+        (SDEConfig(dt=0.03, n_steps=3000, n_ensemble=1, seed=5, burn_in=45.0), 25, 3),
+    ], ids=["two-members", "one-member"])
+    def test_batching_does_not_change_member_paths(self, cfg, n_all, offset):
+        full = simulate_linear_sde(MODEL, dataclasses.replace(cfg, n_ensemble=n_all))
+        part = simulate_linear_sde(MODEL, cfg, member_offset=offset)
+        assert np.array_equal(full[offset:offset + cfg.n_ensemble], part)
 
     def test_zero_diffusion_stays_at_origin(self):
         quiet = linear_noise_model(SystemParams(kappa=1.0, gamma=0.2, epsilon=0.0))
@@ -110,6 +121,19 @@ class TestSimulateLinearSde:
     def test_stability_guard(self):
         with pytest.raises(DomainError, match="stability guard"):
             simulate_linear_sde(MODEL, SDEConfig(dt=0.5, n_steps=10, n_ensemble=2, seed=0))
+
+    @pytest.mark.parametrize("model", [MODEL, EXCEPTIONAL_MODEL],
+                             ids=["criterion-8", "exceptional-point"])
+    def test_stationary_covariance_matches_bartels_stewart(self, model):
+        from scipy.linalg import solve_continuous_lyapunov
+
+        ref = solve_continuous_lyapunov(model.drift_A, model.diffusion_D)
+        S = stationary_covariance(model)
+        assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_exceptional_point_is_defective(self):
+        eigenvectors = np.linalg.eig(EXCEPTIONAL_MODEL.drift_A)[1]
+        assert np.linalg.cond(eigenvectors) > 1e6
 
     def test_stationary_covariance_matches_lyapunov(self):
         cfg = SDEConfig(dt=0.03, n_steps=4000, n_ensemble=400, seed=11, burn_in=40.0)
@@ -181,9 +205,9 @@ def _pinned_cycle(mode, deps=0.05, n_ensemble=6, seed=42, burn_in=0.5, **kwargs)
 # BLAS or CPU may legitimately round differently.
 @pytest.mark.parametrize("run, digest, excluded", [
     (lambda: simulate_linear_sde(MODEL, _PINNED_CFG),
-     "dd2335d3f971aff69c89a0930dc37e8871724f55ad958b50412f5901303c484a", None),
+     "3f02493cffe9454f0eefe71dc5d92c2ae8560d991e6c9ba957b0cfcd3ad6c8e4", None),
     (lambda: simulate_linear_sde(MODEL, _PINNED_CFG, member_offset=2),
-     "5023294a48c8fc8574539edb942fae8115efe16779fbafe79032d4ebdf255cce", None),
+     "4ccb6fad88996a5dc5718353e66a43b6cae40789a07b05e41db0099ed5bda449", None),
     (lambda: _pinned_cycle("reduced"),
      "1fefe0b496bdadf01c73e1be73e8ad86fdd410b464a1f6bc3e93d6b8dcd1d2b5", 0),
     (lambda: _pinned_cycle("reduced", burn_in=0.0),
