@@ -379,7 +379,15 @@ def fixed_point(params: SystemParams) -> FixedPoint:
     s = (k * abs(eps) / 4.0) ** (1.0 / 3.0)
     if g > 0.0:
         s = min(s, 2.0 * abs(eps) / g)
-    lo, hi = (-2.0 * s, 0.0) if eps > 0 else (0.0, 2.0 * s)
+    w = 2.0 * s
+    lo, hi = (-w, 0.0) if eps > 0 else (0.0, w)
+    # A subnormal drive can round s below the root, or to 0; widen the
+    # bracket by doubling until f changes sign (x^3 overflow ends it).
+    if not f(lo) < 0.0 < f(hi):
+        w = max(w, math.ulp(0.0))
+        while math.isfinite(w) and not f(lo) < 0.0 < f(hi):
+            w *= 2.0
+            lo, hi = (-w, 0.0) if eps > 0 else (0.0, w)
     if not f(lo) < 0.0 < f(hi):
         raise NumericalError(
             f"no root bracket for the fixed-point cubic at kappa={k:g}, gamma={g:g}, "

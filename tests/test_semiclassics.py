@@ -142,6 +142,15 @@ class TestFixedPoint:
             assert math.copysign(1.0, fp.beta_i0) == -math.copysign(1.0, eps)
         assert fp.alpha_i0 == pytest.approx(-2.0 * fp.beta_i0**2 / kappa, rel=1e-14)
 
+    # k |eps| / 4 underflows to 0 here, which once collapsed the root bracket.
+    @pytest.mark.parametrize("eps", [5e-324, -5e-324, 1e-320, 2.2e-308])
+    @pytest.mark.parametrize("kappa, gfrac", [(1.0, 0.0), (0.1, 1.0), (10.0, 0.5)])
+    def test_subnormal_drive(self, kappa, gfrac, eps):
+        p = params_at(kappa, gfrac * kappa, eps)
+        fp = fixed_point(p)
+        assert abs(cubic_residual(fp.beta_i0, p)) <= 1e-12
+        assert math.copysign(1.0, fp.beta_i0) == -math.copysign(1.0, eps)
+
     @settings(max_examples=60, deadline=None)
     @given(kappas, gamma_fracs, st.floats(1e-4, 10.0))
     def test_odd_symmetry_in_drive(self, kappa, gfrac, eps):
