@@ -1,10 +1,13 @@
 """Monte-Carlo layer: linearized SDE ensembles and on-cycle phase noise.
 
 Every ensemble (linearized, reduced and full mode) is an Euler-Maruyama
-chain driven by the same per-member normals.  The linearized chain is
+chain driven by the same per-member normals, drawn in chunks of ``_CHUNK``
+steps as the chain advances, so a run holds its recorded output plus one
+chunk of noise, never the whole noise record.  The linearized chain is
 linear in its state, so ``simulate_linear_sde`` evaluates it by blocks of
 steps, one matrix product per block; the nonlinear reduced and full modes
-step through ``_euler_maruyama``, each with its own step function.
+step through ``_euler_maruyama``, each with its own step function.  The
+phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
 
 Reproducibility contract: every ensemble member draws from its own
 Philox4x64 stream with key = seed and counter high word = member index,
@@ -43,6 +46,13 @@ from .semiclassics import (
 _ANALYSIS_STREAM = 2**62
 #: Steps of the linear chain advanced by one matrix product.
 _BLOCK = 32
+#: Steps of noise drawn at a time, and time columns per block of the
+#: phase-diffusion sums; a multiple of _BLOCK, so no block spans two chunks.
+_CHUNK = 32 * _BLOCK
+#: Largest run an SDEConfig admits: member-steps (burn-in included) and
+#: recorded samples (members x recorded times).
+MAX_MEMBER_STEPS = 2 * 10**8
+MAX_RECORDED = 2 * 10**7
 
 
 def member_rng(seed: int, member: int) -> np.random.Generator:
@@ -50,12 +60,25 @@ def member_rng(seed: int, member: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, member]))
 
 
-def _member_normals(seed: int, members: range, n_steps: int) -> np.ndarray:
-    """Unit normals, shape (len(members), n_steps, 2); row i from member members[i]."""
-    xi = np.empty((len(members), n_steps, 2))
-    for i, m in enumerate(members):
-        xi[i] = member_rng(seed, m).standard_normal((n_steps, 2))
-    return xi
+def _noise_chunks(seed: int, members, n_burn: int, n_steps: int):
+    """Unit normals of ``members`` for ``n_burn`` and then ``n_steps`` steps, by chunks.
+
+    Yields arrays of shape (len(members), l, 2), l <= ``_CHUNK``, row i
+    drawn from member members[i]'s stream.  The burn-in and the recorded
+    steps are chunked apart, each from its first step, so no chunk holds
+    both.  The chunks are views of one buffer, valid until the next is
+    drawn.  A stream drawn in chunks gives the same numbers as one draw.
+    """
+    rngs = [member_rng(seed, m) for m in members]
+    # One step of padding per row: at a row stride of a power of two, the
+    # members' normals for one step would all fall in the same cache set.
+    buf = np.empty((len(rngs), min(_CHUNK, max(n_burn, n_steps)) + 1, 2))
+    for span in (n_burn, n_steps):
+        for k in range(0, span, _CHUNK):
+            xi = buf[:, :min(_CHUNK, span - k)]
+            for rng, row in zip(rngs, xi):
+                rng.standard_normal(out=row)
+            yield xi
 
 
 def _euler_maruyama(config, state, step, out: np.ndarray, observe):
@@ -67,13 +90,15 @@ def _euler_maruyama(config, state, step, out: np.ndarray, observe):
     ``out[:, j]`` after the j-th recorded step.  Returns the final state.
     """
     n_burn = int(round(config.burn_in / config.dt))
-    xi = _member_normals(config.seed, range(config.n_ensemble), n_burn + config.n_steps)
     if n_burn == 0:
         out[:, 0] = observe(state)
-    for k in range(xi.shape[1]):
-        state = step(state, xi[:, k])
-        if k >= n_burn - 1:
-            out[:, k - n_burn + 1] = observe(state)
+    k = 1 - n_burn  # column of out written after the next step
+    for xi in _noise_chunks(config.seed, range(config.n_ensemble), n_burn, config.n_steps):
+        for j in range(xi.shape[1]):
+            state = step(state, xi[:, j])
+            if k >= 0:
+                out[:, k] = observe(state)
+            k += 1
     return state
 
 
@@ -100,6 +125,14 @@ class SDEConfig:
             raise DomainError(f"burn_in must be finite and >= 0, got {self.burn_in}")
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit unsigned integer")
+        member_steps = self.n_ensemble * (self.burn_in / self.dt + self.n_steps)
+        recorded = self.n_ensemble * (self.n_steps + 1)
+        if not (member_steps <= MAX_MEMBER_STEPS and recorded <= MAX_RECORDED):
+            raise DomainError(
+                f"n_ensemble={self.n_ensemble}, n_steps={self.n_steps} and "
+                f"burn_in={self.burn_in} ask for {member_steps:.4g} member-steps and "
+                f"{recorded:.4g} recorded samples; the limits are {MAX_MEMBER_STEPS:.0e} "
+                f"and {MAX_RECORDED:.0e}")
 
 
 def default_cycle_dt(kappa: float, gamma: float) -> float:
@@ -159,29 +192,33 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
     P, T = _linear_block_maps(np.eye(4) - dt * A.T, sqD * math.sqrt(dt), L)
     n_burn = int(round(config.burn_in / dt))
     n_steps = config.n_steps
-    xi = _member_normals(config.seed, range(member_offset, member_offset + config.n_ensemble),
-                         n_burn + n_steps)
+    members = range(member_offset, member_offset + config.n_ensemble)
     # numpy hands a one-row product to gemv, which rounds unlike the gemm of
-    # a batch; a duplicate row keeps a lone member's bits equal to its batched ones.
+    # a batch; a duplicate row, drawn from a second copy of the member's
+    # stream, keeps a lone member's bits equal to its batched ones.
     if config.n_ensemble == 1:
-        xi = np.concatenate([xi, xi])
-    rows = len(xi)
+        members = [member_offset] * 2
+    rows = len(members)
 
     x = np.zeros((rows, 4))
-    for k in range(0, n_burn, L):  # burn-in needs only the last state of a block
-        l = min(L, n_burn - k)
-        last = slice(4 * l - 4, 4 * l)
-        x = x @ P[:, last] + xi[:, k:k + l].reshape(rows, 2 * l) @ T[:2 * l, last]
     out = np.empty((rows, n_steps + 1, 4))
-    out[:, 0] = x
     flat = out.reshape(rows, -1)
-    for k in range(0, n_steps, L):
-        l = min(L, n_steps - k)
-        block = flat[:, 4 * k + 4:4 * (k + l) + 4]
-        np.matmul(xi[:, n_burn + k:n_burn + k + l].reshape(rows, 2 * l), T[:2 * l, :4 * l],
-                  out=block)
-        block += x @ P[:, :4 * l]
-        x = block[:, -4:]
+    k = -n_burn  # recorded steps done
+    for xi in _noise_chunks(config.seed, members, n_burn, n_steps):
+        if k == 0:
+            out[:, 0] = x
+        for j in range(0, xi.shape[1], L):
+            l = min(L, xi.shape[1] - j)
+            noise = xi[:, j:j + l].reshape(rows, 2 * l)
+            if k < 0:  # burn-in needs only the last state of a block
+                last = slice(4 * l - 4, 4 * l)
+                x = x @ P[:, last] + noise @ T[:2 * l, last]
+            else:
+                block = flat[:, 4 * k + 4:4 * (k + l) + 4]
+                np.matmul(noise, T[:2 * l, :4 * l], out=block)
+                block += x @ P[:, :4 * l]
+                x = block[:, -4:]
+            k += l
     return out[:config.n_ensemble]
 
 
@@ -248,17 +285,29 @@ class PhaseRecord:
     noise_scale: float
     config: SDEConfig
 
-    @functools.cached_property
-    def _centred(self):
-        """(y, y*y): each member's phase change since the first sample, less the ensemble mean."""
-        y = self.phases - self.phases[:, :1]
-        y -= y.mean(axis=0)
-        return y, y * y
+    def _centred_blocks(self):
+        """Yield (columns, y) by blocks of ``_CHUNK`` time columns.
+
+        y holds each member's phase change since the first sample, less the
+        ensemble mean, for those columns only.  Every y is a view of one
+        buffer, which the caller may overwrite.
+        """
+        n, n_times = self.phases.shape
+        buf = np.empty((n, min(_CHUNK, n_times)))
+        for c in range(0, n_times, _CHUNK):
+            cols = slice(c, min(c + _CHUNK, n_times))
+            y = np.subtract(self.phases[:, cols], self.phases[:, :1], out=buf[:, :cols.stop - c])
+            y -= y.mean(axis=0)
+            yield cols, y
 
     @functools.cached_property
     def variance(self) -> np.ndarray:
         """Variance across members of the phase change; kept for the fit and the CSV writer."""
-        return self._centred[1].sum(axis=0) / (self.phases.shape[0] - 1)
+        var = np.empty(self.phases.shape[1])
+        for cols, y in self._centred_blocks():
+            y *= y
+            var[cols] = y.sum(axis=0) / (self.phases.shape[0] - 1)
+        return var
 
 
 def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
@@ -339,8 +388,9 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
 
         start = (np.full(n, A_amp), np.zeros(n), np.ones(n, dtype=bool))
         _, _, alive = _euler_maruyama(config, start, step, phases, lambda state: state[1])
-        return PhaseRecord(times=times, phases=phases[alive], excluded=int(n - alive.sum()),
-                           noise_scale=noise_scale, config=config)
+        excluded = int(n - alive.sum())
+        return PhaseRecord(times=times, phases=phases[alive] if excluded else phases,
+                           excluded=excluded, noise_scale=noise_scale, config=config)
 
     # full mode
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
@@ -365,7 +415,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         return phi
 
     _euler_maruyama(config, np.tile(pred.orbit(0.0)[0], (n, 1)), step, phases, unwrapped_phase)
-    phases -= phases[:, :1]
+    phases -= phases[:, :1].copy()  # with a view of phases itself, numpy would copy all of it
     return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                        config=config)
 
@@ -388,12 +438,15 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     The variance at each time is taken across members (about the
     ensemble mean, which removes the common deterministic drift) and
     fitted through the origin.  The standard error comes from an
-    ensemble bootstrap: the ``n_bootstrap`` resamples of members are kept
-    as a (n_bootstrap, n) matrix W of draw counts, so each resample's
-    variance follows from two matrix products with the centred phases
-    and no resampled copy of the record is built.  Sub-linear or
-    saturating growth (R^2 < 0.9) raises NumericalError.
+    ensemble bootstrap: the ``n_bootstrap`` (>= 2) resamples of members are
+    kept as a (n_bootstrap, n) matrix W of draw counts, so each resample's
+    variance follows from two matrix products with the centred phases,
+    block by block of time columns, and no resampled copy of the record
+    is built.  Sub-linear or saturating growth (R^2 < 0.9) raises
+    NumericalError.
     """
+    if n_bootstrap < 2:
+        raise DomainError(f"n_bootstrap must be >= 2 for a standard error, got {n_bootstrap}")
     n = record.phases.shape[0]
     if n < 100:
         raise DomainError(f"need >= 100 surviving members, got {n}")
@@ -401,7 +454,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     var = record.variance
     d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
-    floor = (1e-12 * max(1.0, float(np.max(np.abs(record.phases))))) ** 2
+    floor = (1e-12 * max(1.0, float(max(record.phases.max(), -record.phases.min())))) ** 2
     if float(var.max(initial=0.0)) <= floor:
         return PhaseDiffusionFit(d_phi_hat=0.0, stderr=0.0, d_phi_hat_physical=0.0,
                                  stderr_physical=0.0, r_squared=1.0, n_members=n)
@@ -417,16 +470,19 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
 
     # Resample b holds member i W[b, i] times (the same draws as indexing
     # the phase changes with them), so its sums of y and y^2 are W @ y and
-    # W @ y2.  Centring y once on the full-ensemble mean keeps the resampled
-    # means small, so the sum-of-squares variance loses no significant digits.
+    # W @ y^2, taken a block of time columns at a time.  Centring y on the
+    # full-ensemble mean keeps the resampled means small, so the
+    # sum-of-squares variance loses no significant digits.
     rng = member_rng(record.config.seed, _ANALYSIS_STREAM)
     W = np.empty((n_bootstrap, n))
     for b in range(n_bootstrap):
         W[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    y, y2 = record._centred
-    mean = (W @ y) / n
-    boot_var = (W @ y2 - n * mean**2) / (n - 1)
-    stderr = float(((boot_var @ t) / (t @ t)).std(ddof=1))
+    boot_var_t = np.zeros(n_bootstrap)  # each resample's variance dotted with t
+    for cols, y in record._centred_blocks():
+        mean = (W @ y) / n
+        y *= y
+        boot_var_t += ((W @ y - n * mean**2) / (n - 1)) @ t[cols]
+    stderr = float((boot_var_t / (t @ t)).std(ddof=1))
     scale = record.noise_scale if record.noise_scale > 0 else 1.0
     return PhaseDiffusionFit(
         d_phi_hat=d_hat,

@@ -110,9 +110,17 @@ class TestExitCodes:
         # x^3 of the cubic's bracket end overflows
         (["fixed-point", "--kappa", "1e150", "--gamma", "1e149", "--epsilon", "1.3e299"],
          ("kappa=1e+150", "gamma=1e+149", "epsilon=1.3e+299")),
+        # ~1e13 member-steps or more, refused by SDEConfig before anything is allocated
+        (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
+          "--dt", "1e-9"], ("n_ensemble", "n_steps", "burn_in")),
+        (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
+          "--n-ensemble", "100000000000"], ("n_ensemble", "n_steps", "burn_in")),
+        (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
+          "--burn-in", "1e9"], ("n_ensemble", "n_steps", "burn_in")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
-            "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow"])
+            "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
+            "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,12 @@ from selfpulse import (
     stationary_covariance,
     to_normal_form,
 )
+from selfpulse import stochastic
 from selfpulse.stochastic import (
     _ANALYSIS_STREAM,
+    _CHUNK,
+    MAX_MEMBER_STEPS,
+    MAX_RECORDED,
     PhaseRecord,
     member_rng,
     phase_record_to_csv,
@@ -77,6 +82,14 @@ def _reference_bootstrap(record, n_bootstrap=200):
     return float(boots.std(ddof=1))
 
 
+def _whole_stream_chunks(seed, members, n_burn, n_steps):
+    """Stand-in for ``_noise_chunks``: each member's stream in one standard_normal call."""
+    xi = np.stack([member_rng(seed, m).standard_normal((n_burn + n_steps, 2)) for m in members])
+    if n_burn:
+        yield xi[:, :n_burn]
+    yield xi[:, n_burn:]
+
+
 class TestStreams:
     def test_member_streams_deterministic_and_distinct(self):
         a = member_rng(42, 7).standard_normal(5)
@@ -86,6 +99,35 @@ class TestStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    # Burn-in (1100 steps) and recording (1300 steps) each span two chunks,
+    # and their sum is not a whole number of chunks.
+    @pytest.mark.parametrize("run", [
+        lambda cfg: simulate_linear_sde(MODEL, cfg),
+        lambda cfg: simulate_linear_sde(MODEL, dataclasses.replace(cfg, n_ensemble=1),
+                                        member_offset=2),
+        lambda cfg: simulate_limit_cycle_noise(_P0, 0.05, cfg).phases,
+        lambda cfg: simulate_limit_cycle_noise(_P0, 0.001, cfg, noise_scale=0.05,
+                                               radial_noise=True).phases,
+        lambda cfg: simulate_limit_cycle_noise(_P0, 0.05, cfg, mode="full",
+                                               noise_scale=1e-3).phases,
+    ], ids=["linear", "linear-one-member", "reduced", "reduced-radial", "full"])
+    def test_chunked_noise_matches_whole_draw(self, run, monkeypatch):
+        cfg = SDEConfig(dt=0.02, n_steps=1300, n_ensemble=6, seed=4, burn_in=22.0)
+        assert 1100 > _CHUNK and 1300 > _CHUNK and 2400 % _CHUNK
+        chunked = run(cfg)
+        monkeypatch.setattr(stochastic, "_noise_chunks", _whole_stream_chunks)
+        assert np.array_equal(chunked, run(cfg))
+
+    def test_run_size_limits(self):
+        n = MAX_RECORDED // 20
+        burn = float(MAX_MEMBER_STEPS // n - 19)
+        SDEConfig(dt=1.0, n_steps=19, n_ensemble=n, burn_in=burn)  # at or below both limits
+        for oversized in (dict(n_steps=20, burn_in=burn - 1.0),  # one recorded sample too many
+                          dict(n_steps=19, burn_in=burn + 0.5),  # half a step too many
+                          dict(n_steps=19, burn_in=1e308, dt=1e-10)):  # burn_in / dt = inf
+            with pytest.raises(DomainError, match="n_ensemble=.*n_steps=.*burn_in="):
+                SDEConfig(**{"dt": 1.0, "n_ensemble": n, **oversized})
 
 
 class TestSimulateLinearSde:
@@ -406,6 +448,17 @@ class TestMeasurePhaseDiffusion:
         with pytest.raises(NumericalError, match="not linear"):
             measure_phase_diffusion(synthetic_record(phases, times))
 
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_too_few_resamples_refused(self, n_bootstrap, monkeypatch):
+        def no_draws(seed, member):
+            raise AssertionError("bootstrap drawn for a refused n_bootstrap")
+
+        monkeypatch.setattr("selfpulse.stochastic.member_rng", no_draws)
+        times = np.arange(101) * 0.1
+        phases = np.random.default_rng(2).standard_normal((200, 1)) * np.sqrt(times)
+        with pytest.raises(DomainError, match="n_bootstrap"):
+            measure_phase_diffusion(synthetic_record(phases, times), n_bootstrap=n_bootstrap)
+
     @pytest.mark.parametrize("mode, noise_scale, burn_in", [
         ("reduced", 1.0, 0.0), ("full", 1e-3, 2.0)])
     def test_bootstrap_matches_per_resample_loop(self, mode, noise_scale, burn_in):
@@ -441,3 +494,20 @@ def test_variance_csv_holds_the_record_variance(mode, noise_scale, burn_in, tmp_
     assert np.array_equal(table[:, 0], rec.times)
     assert np.array_equal(table[:, 1], np.var(rec.phases - rec.phases[:, :1], axis=0, ddof=1))
     assert np.all(table[:, 2] == 150)
+
+
+@pytest.mark.parametrize("mode, noise_scale, burn_in", [
+    ("reduced", 1.0, 0.0), ("full", 1e-3, 2.0)])
+def test_traced_peak_stays_near_the_record(mode, noise_scale, burn_in, tmp_path):
+    # Noise is drawn by chunks and the fit sums by blocks of columns, so the
+    # peak is the record plus a chunk, not several whole-record arrays.
+    cfg = cycle_config(n_ensemble=400, seed=5, burn_in=burn_in)
+    tracemalloc.start()
+    try:
+        rec = simulate_limit_cycle_noise(_P0, 0.05, cfg, mode=mode, noise_scale=noise_scale)
+        measure_phase_diffusion(rec)
+        phase_record_to_csv(rec, tmp_path / "phase_variance.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rec.phases.nbytes
