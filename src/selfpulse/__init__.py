@@ -2,7 +2,7 @@
 Hopf bifurcation, center-manifold limit-cycle prediction, linearized quantum
 noise spectra and on-cycle phase diffusion."""
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .errors import DomainError, NumericalError, SelfPulseError, ThresholdError
 from .model import (
@@ -14,7 +14,6 @@ from .model import (
     coupling_strength,
     effective_coupling,
     lamb_dicke,
-    rescale_to_unit_chi,
     resolved_sideband_check,
     steady_cavity_amplitude,
 )

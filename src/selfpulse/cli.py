@@ -32,7 +32,7 @@ from . import center_manifold as cm
 from . import noise, semiclassics, stochastic
 from .csvio import write_csv
 from .errors import DomainError, SelfPulseError
-from .model import SemiclassicalState, SystemParams, rescale_to_unit_chi
+from .model import SemiclassicalState, SystemParams
 from .svg import Curve, gnuplot_script, render_svg
 
 
@@ -138,18 +138,13 @@ def _run_fixed_point(p: dict, out: _Outputs) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(p: dict, out: _Outputs) -> None:
-    params = SystemParams(kappa=p["kappa"], gamma=p["gamma"],
-                          epsilon=p["epsilon"], chi=p["chi"])
-    chi = params.chi
     traj = semiclassics.integrate(
         SemiclassicalState(alpha=p["alpha0"], beta=p["beta0"]).to_vector(),
-        rescale_to_unit_chi(params),
-        (0.0, p["t_final"] * chi),
+        SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=p["epsilon"]),
+        (0.0, p["t_final"]),
         rel_tol=p["rel_tol"], abs_tol=p["abs_tol"], n_samples=p["n_samples"],
     )
-    # times back in the caller's units; dividing by chi = 1 is exact
-    write_csv(out("trajectory.csv"), semiclassics.TRAJECTORY_HEADER,
-              np.column_stack([traj.times / chi, traj.y]))
+    traj.to_csv(out("trajectory.csv"))
     print(f"wrote trajectory.csv ({len(traj.times)} samples)")
 
 
@@ -255,8 +250,12 @@ def _run_spectrum(p: dict, out: _Outputs) -> dict:
 
 def _run_phase_diffusion(p: dict, out: _Outputs) -> dict:
     params = SystemParams(kappa=p["kappa"], gamma=p["gamma"], epsilon=0.0)
+    steps = p["t_final"] / p["dt"]
+    if not 0.5 < steps < math.inf:  # rounds to a count of at least one step
+        raise DomainError(f"--t-final {p['t_final']:g} over --dt {p['dt']:g} is {steps:.4g} "
+                          "steps, not a finite count >= 1")
     config = stochastic.SDEConfig(
-        dt=p["dt"], n_steps=int(round(p["t_final"] / p["dt"])),
+        dt=p["dt"], n_steps=int(round(steps)),
         n_ensemble=p["n_ensemble"], seed=p["seed"], burn_in=p["burn_in"],
     )
     record = stochastic.simulate_limit_cycle_noise(
@@ -540,7 +539,6 @@ _OPTIONS = (
     _Option("figure2", "--gamma", _float, 0.1, *_NON_NEGATIVE),
     _Option("fixed-point simulate", "--epsilon", _float, 0.0),
     _Option("spectrum", "--epsilon", _float, 0.01),
-    _Option("simulate", "--chi", _float, 1.0, *_POSITIVE),
     _Option("simulate", "--beta0", _complex, "0.1", help="e.g. '0.4j' or '0.1+0.2j'"),
     _Option("simulate", "--alpha0", _complex, "0"),
     _Option("simulate", "--t-final", _float, 100.0, *_POSITIVE),
@@ -549,8 +547,8 @@ _OPTIONS = (
     _Option("simulate", "--abs-tol", _float, 1e-12),
     _Option("limit-cycle phase-diffusion", "--delta-eps", _float, None, *_POSITIVE),
     _Option("sweep", "--delta-eps", _float, 0.0, help="required > 0 for d_phi"),
-    _Option("limit-cycle", "--t-periods", _float, 150.0),
-    _Option("figure1", "--t-periods", _float, 80.0),
+    _Option("limit-cycle", "--t-periods", _float, 150.0, *_POSITIVE),
+    _Option("figure1", "--t-periods", _float, 80.0, *_POSITIVE),
     _Option("spectrum figure2", "--omega-min", _float, -2.0),
     _Option("spectrum figure2", "--omega-max", _float, 2.0),
     _Option("spectrum figure2", "--n-points", int, 2001, lambda v: v >= 2, "must be >= 2"),
@@ -558,14 +556,14 @@ _OPTIONS = (
     _Option("phase-diffusion", "--mode", str, "reduced",
             lambda v: v in ("reduced", "full"), "must be reduced or full"),
     _Option("phase-diffusion", "--noise-scale", _float,
-            lambda p: 1.0 if p["mode"] == "reduced" else 1e-3),
+            lambda p: 1.0 if p["mode"] == "reduced" else 1e-3, *_NON_NEGATIVE),
     _Option("phase-diffusion", "--n-ensemble", int, 500,
             lambda v: v >= 100, "must be >= 100 for a meaningful fit"),
     _Option("phase-diffusion", "--dt", _float,
-            lambda p: stochastic.default_cycle_dt(p["kappa"], p["gamma"])),
-    _Option("phase-diffusion", "--t-final", _float, 80.0),
+            lambda p: stochastic.default_cycle_dt(p["kappa"], p["gamma"]), *_POSITIVE),
+    _Option("phase-diffusion", "--t-final", _float, 80.0, *_POSITIVE),
     _Option("phase-diffusion", "--burn-in", _float,
-            lambda p: 0.0 if p["mode"] == "reduced" else 10.0),
+            lambda p: 0.0 if p["mode"] == "reduced" else 10.0, *_NON_NEGATIVE),
     _Option("figure1", "--pairs", _pairs, "1.0,0.0;1.0,0.1;0.5,0.0;0.5,0.5", *_NON_EMPTY,
             help="'k1,g1;k2,g2;...'"),
     _Option("figure1", "--delta-eps-fracs", _floats, "0.05,0.1,0.2",
@@ -582,7 +580,8 @@ _OPTIONS = (
     _Option("sweep", "--quantities", _names, "epsilon_h,omega_h,d,a",
             lambda v: set(v) <= set(_SWEEP_QUANTITIES), "has an unknown quantity",
             help=f"comma-separated from {', '.join(_SWEEP_QUANTITIES)}"),
-    _Option(_ALL, "--seed", int, 0, help="64-bit PRNG seed"),
+    _Option(_ALL, "--seed", int, 0, lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)",
+            help="64-bit PRNG seed"),
     _Option("figure1", "--jobs", int, 1, lambda v: v >= 1, "must be >= 1",
             help="parallel workers, one panel each"),
     _Option("fixed-point hopf limit-cycle spectrum phase-diffusion figure2", "--format",

@@ -1,12 +1,12 @@
 """Model parameters, physical-realization maps and the canonical state.
 
-The dynamical core works in scaled units where the parametric coupling
-chi = 1 (time is measured in units of 1/chi).  The two physical
-realizations (trapped atom in a standing wave, membrane in the middle)
-only enter through the map onto the four scaled rates (kappa, gamma,
-chi, epsilon): chi = effective_coupling(coupling_strength(r),
-steady_cavity_amplitude(r.epsilon_c, kappa, r.delta)).  Everything
-downstream is unit-free.
+The parametric coupling chi is the unit of rate: the dynamical core works
+in time units of 1/chi, so only kappa/chi, gamma/chi and epsilon/chi
+enter.  A physical realization (trapped atom in a standing wave, membrane
+in the middle) enters as SystemParams(kappa/chi, gamma/chi, epsilon/chi)
+with chi = effective_coupling(coupling_strength(r),
+steady_cavity_amplitude(r.epsilon_c, kappa, r.delta)), and the core's
+times are then in units of 1/chi.  Everything downstream is unit-free.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _require_finite(obj) -> None:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """The four dynamical rates of the scaled model.
+    """The three dynamical rates of the scaled model, in units of chi.
 
     The mechanical bath is at zero temperature.
 
@@ -45,14 +45,11 @@ class SystemParams:
         Mechanical amplitude decay rate (1/time).
     epsilon : float
         Mechanical drive strength (1/time).
-    chi : float
-        Effective parametric coupling (1/time); 1 after time rescaling.
     """
 
     kappa: float
     gamma: float
     epsilon: float
-    chi: float = 1.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -62,8 +59,6 @@ class SystemParams:
             raise DomainError(f"kappa must be >= 0, got {self.kappa}")
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if not (self.chi > 0):
-            raise DomainError(f"chi must be > 0, got {self.chi}")
 
 
 @dataclass(frozen=True)
@@ -184,21 +179,6 @@ def effective_coupling(G: float, alpha_bar: complex) -> float:
     so only the magnitude of ``alpha_bar`` enters.
     """
     return G * abs(alpha_bar)
-
-
-def rescale_to_unit_chi(params: SystemParams) -> SystemParams:
-    """Rescale time so the parametric coupling is 1.
-
-    Solutions of the scaled system at time t correspond to the original
-    system at time t/chi.
-    """
-    c = params.chi
-    return SystemParams(
-        kappa=params.kappa / c,
-        gamma=params.gamma / c,
-        epsilon=params.epsilon / c,
-        chi=1.0,
-    )
 
 
 def resolved_sideband_check(nu: float, kappa: float) -> SidebandCheck:

@@ -40,8 +40,6 @@ def linear_noise_model(params: SystemParams) -> LinearNoiseModel:
     and the stationary spectrum is undefined).  Within 1% of threshold
     a warning is emitted.
     """
-    if params.chi != 1.0:
-        raise DomainError("linear_noise_model requires chi == 1; rescale_to_unit_chi first")
     epsilon = params.epsilon
     eps_h = hopf_threshold(params.kappa, params.gamma).epsilon_h
     if abs(epsilon) >= eps_h:

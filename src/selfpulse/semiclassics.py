@@ -1,8 +1,8 @@
 """Semiclassical dynamics: vector field, fixed points, stability, cycles.
 
 State ordering throughout is the real 4-vector (beta_r, beta_i, alpha_r,
-alpha_i).  The vector field assumes the time-rescaled model with chi = 1;
-general chi is handled by ``model.rescale_to_unit_chi``.
+alpha_i).  Times are in units of the inverse parametric coupling (see
+``model``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def vector_field(y, params: SystemParams):
         State (beta_r, beta_i, alpha_r, alpha_i), or a batch of states
         along the leading axes.
     params : SystemParams
-        Must have chi == 1.
+        The scaled rates kappa, gamma and epsilon.
 
     Returns
     -------
@@ -83,8 +83,6 @@ def vector_field(y, params: SystemParams):
         (dbeta_r, dbeta_i, dalpha_r, dalpha_i)/dt, as a tuple for a tuple
         (the form ``integrate`` steps in) and as an array otherwise.
     """
-    if params.chi != 1.0:
-        raise DomainError("vector_field requires chi == 1; rescale_to_unit_chi first")
     g2 = params.gamma / 2.0
     k2 = params.kappa / 2.0
     if isinstance(y, tuple):

@@ -74,6 +74,15 @@ class TestExitCodes:
         ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid", "0:0:1", "--jobs", "2"],
         ["phase-diffusion", "--delta-eps", "0.05", "--radial-noise"],  # not a CLI switch
         ["sweep", "--kappa-grid", "1:2:2", "--gamma-grid=-3:-2:2", "--quantities", "omega_h"],
+        ["simulate", "--chi", "2"],  # chi is the time unit, not an option
+        ["phase-diffusion", "--delta-eps", "0.05", "--t-final", "-5"],
+        ["phase-diffusion", "--delta-eps", "0.05", "--dt", "-1"],
+        ["phase-diffusion", "--delta-eps", "0.05", "--burn-in", "-1"],
+        ["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "-1"],
+        ["limit-cycle", "--delta-eps", "0.01", "--t-periods", "-5"],
+        ["figure1", "--t-periods", "0"],
+        ["hopf", "--seed", "-1"],
+        ["hopf", "--seed", str(2**64)],
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -117,10 +126,13 @@ class TestExitCodes:
           "--n-ensemble", "100000000000"], ("n_ensemble", "n_steps", "burn_in")),
         (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
           "--burn-in", "1e9"], ("n_ensemble", "n_steps", "burn_in")),
+        # the step count t_final/dt overflows to inf before SDEConfig sees it
+        (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
+          "--t-final", "1e308", "--dt", "1e-10"], ("--t-final", "--dt")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
             "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
-            "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in"])
+            "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in", "ensemble_step_overflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
@@ -203,20 +215,6 @@ class TestSimulateCommand:
         assert len(lines) == 51
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 0.0, 0.4, 0.3, 0.0]
-
-    def test_chi_rescaling_maps_time(self, tmp_path):
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_cli(["simulate", "--kappa", "2", "--gamma", "0.2", "--epsilon", "0.4",
-                 "--chi", "2", "--t-final", "5", "--n-samples", "20",
-                 "--out", str(a_dir)])
-        run_cli(["simulate", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.2",
-                 "--chi", "1", "--t-final", "10", "--n-samples", "20",
-                 "--out", str(b_dir)])
-        a = np.loadtxt(a_dir / "trajectory.csv", delimiter=",", skiprows=1)
-        b = np.loadtxt(b_dir / "trajectory.csv", delimiter=",", skiprows=1)
-        # scaled system over twice the span, reported at original times
-        assert np.allclose(a[:, 0], b[:, 0] / 2.0)
-        assert np.allclose(a[:, 1:], b[:, 1:], atol=1e-9)
 
     def test_unbounded_run_exits_2_within_step_budget(self, tmp_path):
         r = run_cli(["simulate", "--t-final", "1e9", "--out", str(tmp_path)], timeout=120)
@@ -507,8 +505,9 @@ class TestReplay:
         lambda path: {"argv": ["simulate", "--t-final=1"], "version": "0.1.0"},
         lambda path: {"argv": ["limit-cycle", "--kappa=1"], "version": "0.2.0"},
         lambda path: {"argv": ["fixed-point", "--kappa=1", "--jobs=1"], "version": "0.2.1"},
+        lambda path: {"argv": ["simulate", "--chi=1.0"], "version": "0.2.2"},
     ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853",
-            "before-brentq", "before-unread-options"])
+            "before-brentq", "before-unread-options", "before-unit-chi"])
     def test_malformed_manifest_exits_1(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest(path)))

@@ -17,7 +17,6 @@ from selfpulse import (
     effective_coupling,
     integrate,
     lamb_dicke,
-    rescale_to_unit_chi,
     resolved_sideband_check,
     steady_cavity_amplitude,
 )
@@ -121,30 +120,21 @@ class TestEffectiveCoupling:
 
 
 class TestRescale:
-    def test_divide_by_chi(self):
-        p = SystemParams(kappa=2.0, gamma=0.2, epsilon=0.4, chi=2.0)
-        q = rescale_to_unit_chi(p)
-        assert (q.kappa, q.gamma, q.chi, q.epsilon) == (1.0, 0.1, 1.0, 0.2)
-
-    def test_identity_at_unit_chi(self):
-        p = SystemParams(kappa=1.0, gamma=0.1, epsilon=0.13, chi=1.0)
-        assert rescale_to_unit_chi(p) == p
-
     def test_trajectory_equivalence(self):
-        # scaled solutions at time t match the chi != 1 flow at time t/chi
-        chi = 2.0
-        p = SystemParams(kappa=2.0, gamma=0.2, epsilon=0.4, chi=chi)
-        q = rescale_to_unit_chi(p)
+        # the scaled model at (kappa, gamma, epsilon)/chi, integrated over chi*t,
+        # matches the chi != 1 flow at time t
+        chi, kappa, gamma, epsilon = 2.0, 2.0, 0.2, 0.4
+        q = SystemParams(kappa=kappa / chi, gamma=gamma / chi, epsilon=epsilon / chi)
         y0 = [0.1, -0.2, 0.05, 0.0]
         t_phys = np.linspace(0.0, 5.0, 11)
 
         def rhs(t, y):
             br, bi, ar, ai = y
             return [
-                chi * 2.0 * (bi * ar - br * ai) - p.gamma / 2.0 * br,
-                chi * 2.0 * (br * ar + bi * ai) - p.gamma / 2.0 * bi - p.epsilon,
-                chi * (-2.0 * br * bi) - p.kappa / 2.0 * ar,
-                chi * (br**2 - bi**2) - p.kappa / 2.0 * ai,
+                chi * 2.0 * (bi * ar - br * ai) - gamma / 2.0 * br,
+                chi * 2.0 * (br * ar + bi * ai) - gamma / 2.0 * bi - epsilon,
+                chi * (-2.0 * br * bi) - kappa / 2.0 * ar,
+                chi * (br**2 - bi**2) - kappa / 2.0 * ai,
             ]
 
         ref = solve_ivp(rhs, (0.0, 5.0), y0, rtol=1e-11, atol=1e-13, t_eval=t_phys)
@@ -173,9 +163,7 @@ class TestSystemParams:
             SystemParams(kappa=-1.0, gamma=0.0, epsilon=0.0)
         with pytest.raises(DomainError):
             SystemParams(kappa=1.0, gamma=-0.1, epsilon=0.0)
-        with pytest.raises(DomainError):
-            SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0, chi=0.0)
-        for name in ("kappa", "gamma", "epsilon", "chi"):
+        for name in ("kappa", "gamma", "epsilon"):
             for bad in (math.nan, math.inf, -math.inf):
                 kwargs = {"kappa": 1.0, "gamma": 0.0, "epsilon": 0.0, name: bad}
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
@@ -199,7 +187,7 @@ class TestParamsLoading:
     """A realization reaches SystemParams only through its effective coupling chi."""
 
     def test_realizations_with_equal_chi_give_equal_params(self):
-        # model equivalence: agreeing G*|alpha_bar| implies the same scaled system
+        # model equivalence: agreeing G*|alpha_bar| implies the same scaled rates
         kappa, delta = 1.0, 0.0
         atom = AtomRealization(g=10.0, Delta=100.0, nu=1.0, mass=HBAR / 2.0,
                                k_wave=0.1, epsilon_c=50j, delta=delta)
@@ -213,6 +201,6 @@ class TestParamsLoading:
         assert coupling_strength(mem) == pytest.approx(G_atom, rel=1e-12)
         chi_a = effective_coupling(G_atom, ab)
         chi_m = effective_coupling(coupling_strength(mem), ab)
-        pa = SystemParams(kappa=kappa, gamma=0.1, epsilon=0.13, chi=chi_a)
-        pm = SystemParams(kappa=kappa, gamma=0.1, epsilon=0.13, chi=chi_m)
-        assert rescale_to_unit_chi(pa) == rescale_to_unit_chi(pm)
+        pa = SystemParams(kappa=kappa / chi_a, gamma=0.1 / chi_a, epsilon=0.13 / chi_a)
+        pm = SystemParams(kappa=kappa / chi_m, gamma=0.1 / chi_m, epsilon=0.13 / chi_m)
+        assert pa == pm

@@ -116,10 +116,6 @@ class TestVectorField:
             assert type(f) is tuple and all(type(v) is float for v in f)
             assert np.array_equal(np.array(f), vector_field(y, p))
 
-    def test_requires_unit_chi(self):
-        with pytest.raises(DomainError):
-            vector_field(np.zeros(4), SystemParams(kappa=1, gamma=0, epsilon=0, chi=2.0))
-
 
 class TestFixedPoint:
     def test_origin_at_zero_drive(self):

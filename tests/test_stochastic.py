@@ -337,8 +337,12 @@ class TestLimitCycleNoise:
         assert fit.d_phi_hat_physical == pytest.approx(asymptotic, rel=0.45)
 
     def test_full_mode_converges_to_asymptotic_near_threshold(self):
-        # the finite-delta_eps enhancement of the measured diffusion shrinks
-        # as the bifurcation is approached
+        # with this 10-unit burn-in and 120-unit window the measured diffusion
+        # sits closer to the asymptotic constant at delta_eps = 0.02 than at 0.1;
+        # the window is shorter than the radial relaxation near threshold.  The
+        # phase-response curve (ROADMAP item 5) shows the true finite-delta_eps
+        # enhancement does not shrink toward threshold: 1.282 at 0.02 against
+        # 1.137 at 0.1, with the limit 1 + (b/a)^2 = 170/121
         kappa, gamma = 1.0, 0.0
         p = SystemParams(kappa=kappa, gamma=gamma, epsilon=0.0)
         devs = []
