@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import DomainError
 
 # Reduced Planck constant, J*s; only the realization maps need it.
@@ -123,7 +121,10 @@ class SemiclassicalState:
     alpha: complex
     beta: complex
 
-    def to_vector(self) -> np.ndarray:
+    def to_vector(self):
+        """The state (beta_r, beta_i, alpha_r, alpha_i) as a numpy array."""
+        import numpy as np  # deferred: the closed-form commands start without numpy
+
         b, a = complex(self.beta), complex(self.alpha)
         return np.array([b.real, b.imag, a.real, a.imag])
 

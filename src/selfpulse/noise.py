@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import FixedPoint, fixed_point, hopf_threshold
 from .csvio import write_csv
 from .errors import DomainError, NumericalError, ThresholdError
-from .semiclassics import FixedPoint, SystemParams, fixed_point, hopf_threshold
+from .model import SystemParams
 
 #: Tolerance for the realness assertion at the fixed point.
 REALNESS_TOL = 1e-14
@@ -184,41 +185,6 @@ def spectral_peak(result: SpectrumResult, i: int = 2, j: int = 2) -> SpectralPea
                         fwhm=float(right - left))
 
 
-@dataclass(frozen=True)
-class PhaseDiffusionConstant:
-    """Analytic phase-diffusion rate, convention Var[phi(t)] = D_phi * t."""
-
-    value: float            # s/(2 A^2) = prefactor * kappa / delta_epsilon
-    prefactor: float        # 99/(272 sqrt(2)) ~ 0.25737
-    rounded_value: float    # two-digit prefactor 0.26 widely quoted
-
-
-def phase_diffusion_constant(kappa: float, delta_epsilon: float,
-                             gamma: float = 0.0) -> PhaseDiffusionConstant:
-    """Phase diffusion D_phi = s/(2 A^2) = 99 kappa / (272 sqrt(2) delta_epsilon).
-
-    The ratio of the on-cycle noise intensity s = 1/kappa to twice the
-    limit-cycle amplitude A^2 = 136 sqrt(2) delta_epsilon / (99 kappa^2),
-    both valid for kappa >> gamma; a warning is emitted when gamma > 0.1 kappa.
-    """
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    if not (delta_epsilon > 0):
-        raise DomainError(f"delta_epsilon must be > 0, got {delta_epsilon}")
-    if gamma > 0.1 * kappa:
-        warnings.warn(
-            f"gamma={gamma:.4g} is not small against kappa={kappa:.4g}; the "
-            "phase-diffusion constant is derived in the kappa >> gamma regime",
-            stacklevel=2,
-        )
-    prefactor = 99.0 / (272.0 * math.sqrt(2.0))
-    return PhaseDiffusionConstant(
-        value=prefactor * (kappa / delta_epsilon),
-        prefactor=prefactor,
-        rounded_value=0.26 * kappa / delta_epsilon,
-    )
-
-
 def spectrum_to_csv(result: SpectrumResult, path, extra_pairs=()) -> None:
     """Write `omega,S33_re,S33_im,S33_abs` (plus optional extra elements).
 
@@ -235,4 +201,4 @@ def spectrum_to_csv(result: SpectrumResult, path, extra_pairs=()) -> None:
         header += [f"{tag}_re", f"{tag}_im", f"{tag}_abs"]
         z = result.S[:, i, j]
         table += [z.real, z.imag, np.abs(z)]
-    write_csv(path, header, np.column_stack(table))
+    write_csv(path, header, np.column_stack(table).tolist())

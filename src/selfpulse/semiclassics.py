@@ -1,13 +1,13 @@
-"""Semiclassical dynamics: vector field, fixed points, stability, cycles.
+"""Semiclassical dynamics: vector field, Jacobian, integration, cycles.
 
 State ordering throughout is the real 4-vector (beta_r, beta_i, alpha_r,
 alpha_i).  Times are in units of the inverse parametric coupling (see
-``model``).
+``model``).  The critical point, its stability and the Hopf point are
+closed forms in ``closed_forms``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from array import array
@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# fixed_point is re-exported: callers, the benchmark's tracer among them,
+# name it semiclassics.fixed_point.
+from .closed_forms import FixedPoint, fixed_point, hopf_frequency  # noqa: F401
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
 from .model import SystemParams
-
-#: |Re(lambda)| below which an eigenvalue pair counts as marginal.
-MARGINAL_TOL = 1e-8
 
 #: The Runge-Kutta pair ``integrate`` steps, recorded in run manifests.
 INTEGRATOR = "DOP853"
@@ -156,7 +156,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write `t,beta_r,beta_i,alpha_r,alpha_i` at full double precision."""
-        write_csv(path, TRAJECTORY_HEADER, np.column_stack([self.times, self.y]))
+        write_csv(path, TRAJECTORY_HEADER, np.column_stack([self.times, self.y]).tolist())
 
 
 def _combine(row, ks):
@@ -330,89 +330,6 @@ def integrate(
     return Trajectory(times=times, y=dense(times).T, params=params, dense=dense)
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """Imaginary-axis critical point (0, beta_i0, 0, alpha_i0)."""
-
-    beta_i0: float
-    alpha_i0: float
-    residual: float
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([0.0, self.beta_i0, 0.0, self.alpha_i0])
-
-
-def cubic_residual(x: float, params: SystemParams) -> float:
-    """Value of (4/kappa) x^3 + (gamma/2) x + epsilon; NumericalError if x^3 overflows."""
-    try:
-        cube = x**3
-    except OverflowError:
-        raise NumericalError(
-            f"the fixed-point cubic overflows at kappa={params.kappa:g}, "
-            f"gamma={params.gamma:g}, epsilon={params.epsilon:g}") from None
-    return (4.0 / params.kappa) * cube + 0.5 * params.gamma * x + params.epsilon
-
-
-def fixed_point(params: SystemParams) -> FixedPoint:
-    """Unique critical point of the scaled flow.
-
-    The real parts vanish; beta_i0 is the single real root of the cubic
-    (4/kappa) x^3 + (gamma/2) x + epsilon = 0 (strictly monotone for
-    kappa > 0, gamma >= 0), found by safeguarded Newton with bisection
-    fallback on a bracketing interval.  alpha_i0 = -2 beta_i0^2 / kappa.
-    """
-    k, g, eps = params.kappa, params.gamma, params.epsilon
-    if not (k > 0):
-        raise DomainError(f"fixed_point requires kappa > 0, got {k}")
-    if eps == 0.0:
-        return FixedPoint(beta_i0=0.0, alpha_i0=0.0, residual=0.0)
-
-    f = lambda x: cubic_residual(x, params)
-    df = lambda x: (12.0 / k) * x**2 + 0.5 * g
-
-    # Root has the opposite sign to eps, and |root| lies in [s/2, s] for s the
-    # smaller |root| with one of the two x terms left out; bracket [-2s, 0]
-    # (mirrored for eps < 0), so Newton starts within a factor 2 at any scale.
-    # The cubic is increasing, so f(lo) < 0 < f(hi) unless it overflows.
-    s = (k * abs(eps) / 4.0) ** (1.0 / 3.0)
-    if g > 0.0:
-        s = min(s, 2.0 * abs(eps) / g)
-    w = 2.0 * s
-    lo, hi = (-w, 0.0) if eps > 0 else (0.0, w)
-    # A subnormal drive can round s below the root, or to 0; widen the
-    # bracket by doubling until f changes sign (x^3 overflow ends it).
-    if not f(lo) < 0.0 < f(hi):
-        w = max(w, math.ulp(0.0))
-        while math.isfinite(w) and not f(lo) < 0.0 < f(hi):
-            w *= 2.0
-            lo, hi = (-w, 0.0) if eps > 0 else (0.0, w)
-    if not f(lo) < 0.0 < f(hi):
-        raise NumericalError(
-            f"no root bracket for the fixed-point cubic at kappa={k:g}, gamma={g:g}, "
-            f"epsilon={eps:g} (f(lo)={f(lo):g}, f(hi)={f(hi):g})"
-        )
-
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = f(x)
-        if fx == 0.0:
-            break
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        dfx = df(x)
-        step = fx / dfx if dfx > 0.0 else math.inf
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-
-    return FixedPoint(beta_i0=x, alpha_i0=-2.0 * x**2 / k, residual=f(x))
-
-
 def jacobian(fp: FixedPoint, params: SystemParams) -> np.ndarray:
     """Linearization of the flow at a critical point, ordering (br, bi, ar, ai)."""
     k2 = params.kappa / 2.0
@@ -424,102 +341,6 @@ def jacobian(fp: FixedPoint, params: SystemParams) -> np.ndarray:
         [-2.0 * b, 0.0, -k2, 0.0],
         [0.0, -2.0 * b, 0.0, -k2],
     ])
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    eigenvalues: np.ndarray
-    classification: str
-    max_real_part: float
-
-
-def classify_fixed_point(params: SystemParams, fp: FixedPoint) -> StabilityReport:
-    """Eigenvalues and stability class of the critical point ``fp`` of ``params``."""
-    ev = np.linalg.eigvals(jacobian(fp, params))
-    ev = np.sort_complex(ev)
-    mx = float(np.max(ev.real))
-    if mx < -MARGINAL_TOL:
-        label = "stable-focus/node"
-    elif mx <= MARGINAL_TOL:
-        label = "hopf-marginal"
-    else:
-        label = "unstable (limit-cycle regime)"
-    return StabilityReport(eigenvalues=ev, classification=label, max_real_part=mx)
-
-
-def rate_ratio(kappa: float, gamma: float) -> float:
-    """The model's one shape parameter r = gamma/kappa, for kappa > 0 and gamma >= 0.
-
-    With time in units of 1/kappa, beta = kappa B, alpha = kappa A and
-    epsilon = kappa^2 e, the equations of motion depend on r and e alone.
-    So every closed form at the Hopf point is kappa^p f(r), written so that
-    at moderate r only the factor kappa^p can leave the range of floats.
-    """
-    if not (kappa > 0):
-        raise DomainError(f"kappa must be > 0, got {kappa}")
-    if not (gamma >= 0):
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    return gamma / kappa
-
-
-def require_representable(name: str, value: float, kappa: float, gamma: float) -> float:
-    """Return ``value``, positive in exact arithmetic; NumericalError unless a normal float."""
-    if not sys.float_info.min <= value < math.inf:
-        raise NumericalError(
-            f"{name} is {value:g}, out of range at kappa={kappa:g}, gamma={gamma:g}")
-    return value
-
-
-@dataclass(frozen=True)
-class HopfPoint:
-    epsilon_h: float
-    beta_i0h: float
-    alpha_i0h: float
-
-
-def hopf_threshold(kappa: float, gamma: float) -> HopfPoint:
-    """Drive strength at which the critical point loses stability.
-
-    With r = gamma/kappa, epsilon_h = kappa^2 sqrt(1+r) (1+2r) / (4 sqrt 2),
-    and the critical point there has beta_i0h = -kappa sqrt((1+r)/8) and
-    alpha_i0h = -kappa (1+r)/4.
-    """
-    r = rate_ratio(kappa, gamma)
-    shape = math.sqrt(1.0 + r) * (1.0 + 2.0 * r) / (4.0 * math.sqrt(2.0))
-    eps_h = kappa * (kappa * shape)  # no kappa^2 to under- or overflow on its own
-    return HopfPoint(
-        epsilon_h=require_representable("epsilon_h", eps_h, kappa, gamma),
-        beta_i0h=-kappa * math.sqrt((1.0 + r) / 8.0),
-        alpha_i0h=-kappa * (1.0 + r) / 4.0,
-    )
-
-
-def hopf_frequency(kappa: float, gamma: float) -> float:
-    """Frequency omega_h = kappa sqrt(1+2r)/2 of the marginal pair, r = gamma/kappa."""
-    r = rate_ratio(kappa, gamma)
-    return require_representable("omega_h", kappa * math.sqrt(1.0 + 2.0 * r) / 2.0,
-                                 kappa, gamma)
-
-
-def hopf_eigenvalues(kappa: float, gamma: float) -> np.ndarray:
-    """Closed-form spectrum at the bifurcation, from the two 2x2 blocks.
-
-    With r = gamma/kappa, the marginal pair is +/- i omega_h and the
-    stable pair is kappa (-(1+r) +/- i sqrt(2(1+r) - r^2))/2, a real pair
-    for r > 1 + sqrt 3.  The small root of a real pair is taken as the
-    pair's product kappa^2 (4r + 3)/4 over the large root, since
-    -(1+r) + sqrt(r^2 - 2r - 2) cancels as r grows.
-    """
-    om = hopf_frequency(kappa, gamma)
-    r = rate_ratio(kappa, gamma)
-    re2 = -kappa * (1.0 + r) / 2.0
-    disc = 2.0 * (1.0 + r) - r * r
-    if disc < 0.0:
-        s = math.sqrt(-disc)
-        small = -kappa * (4.0 * r + 3.0) / (2.0 * (1.0 + r + s))
-        return np.array([1j * om, -1j * om, re2 - kappa * s / 2.0, small + 0j])
-    im2 = kappa * cmath.sqrt(disc) / 2.0
-    return np.array([1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2])
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:

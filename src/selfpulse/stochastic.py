@@ -32,16 +32,12 @@ from .center_manifold import (
     lyapunov_coefficient,
     to_normal_form,
 )
+from .closed_forms import hopf_eigenvalues, hopf_frequency, hopf_threshold
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
+from .model import SystemParams
 from .noise import LinearNoiseModel
-from .semiclassics import (
-    SystemParams,
-    hopf_eigenvalues,
-    hopf_frequency,
-    hopf_threshold,
-    vector_field,
-)
+from .semiclassics import vector_field
 
 _ANALYSIS_STREAM = 2**62
 #: Steps of the linear chain advanced by one matrix product.
@@ -499,4 +495,4 @@ def phase_record_to_csv(record: PhaseRecord, path) -> None:
     var = record.variance
     n_eff = record.phases.shape[0]
     write_csv(path, ("t", "var_phi", "n_effective"),
-              np.column_stack([record.times, var, np.full_like(var, n_eff)]))
+              np.column_stack([record.times, var, np.full_like(var, n_eff)]).tolist())

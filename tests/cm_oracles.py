@@ -1,9 +1,10 @@
 """Test-side oracles for the center-manifold reduction.
 
-The printed closed forms of the quadratic manifold coefficients, the
-drive-dependent trace whose finite difference gives -d, and the full state
-on the quadratic manifold.  ``selfpulse.center_manifold`` computes the
-same quantities by other routes; the tests compare the two.
+The quadratic manifold coefficients by the 6x6 tangency solve and in the
+printed form in (kappa, gamma), the drive-dependent trace whose finite
+difference gives -d, and the full state on the quadratic manifold.
+``selfpulse.closed_forms`` computes the coefficients from their closed
+forms in r = gamma/kappa; the tests compare the routes.
 """
 
 import math
@@ -18,6 +19,62 @@ from selfpulse import (
     fixed_point,
     hopf_threshold,
 )
+
+
+def _beta_i0h(kappa: float, gamma: float) -> float:
+    """beta_i0 at the Hopf point, -sqrt(kappa (kappa + gamma) / 8), in r = gamma/kappa."""
+    return -kappa * math.sqrt((1.0 + gamma / kappa) / 8.0)
+
+
+def center_block(kappa: float, gamma: float) -> np.ndarray:
+    """Marginal 2x2 block acting on (beta_r, alpha_r) deviations."""
+    b = _beta_i0h(kappa, gamma)
+    return np.array([[kappa / 2.0, 2.0 * b], [-2.0 * b, -kappa / 2.0]])
+
+
+def stable_block(kappa: float, gamma: float) -> np.ndarray:
+    """Stable 2x2 block acting on (beta_i, alpha_i) deviations."""
+    b = _beta_i0h(kappa, gamma)
+    return np.array([[-gamma - kappa / 2.0, 2.0 * b], [-2.0 * b, -kappa / 2.0]])
+
+
+def _directional_matrix(M: np.ndarray) -> np.ndarray:
+    """Map quadratic coefficients q to those of grad(q) . (M c)."""
+    m00, m01, m10, m11 = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    return np.array([
+        [2.0 * m00, m10, 0.0],
+        [2.0 * m01, m00 + m11, 2.0 * m10],
+        [0.0, m01, 2.0 * m11],
+    ])
+
+
+def tangency_solve(kappa: float, gamma: float) -> CMCoefficients:
+    """The manifold coefficients by solving the quadratic-order tangency equations.
+
+    Requiring that s = h(c) be invariant under the flow at quadratic
+    order gives, with L_c and L_s the center/stable blocks and f the
+    pure-center quadratic source of the stable equations,
+
+        grad(h_i)(c) . (L_c c) - [L_s h(c)]_i = f_i(c),
+
+    a 6x6 linear system for (A1, B1, C1, A2, B2, C2).  The source is
+    f = (2 x y, x^2) in the center coordinates c = (x, y).  ``residual``
+    is the largest absolute residual of the solved system.
+    """
+    Lc = center_block(kappa, gamma)
+    Ls = stable_block(kappa, gamma)
+    Dop = _directional_matrix(Lc)
+
+    M = np.zeros((6, 6))
+    M[0:3, 0:3] = Dop - Ls[0, 0] * np.eye(3)
+    M[0:3, 3:6] = -Ls[0, 1] * np.eye(3)
+    M[3:6, 0:3] = -Ls[1, 0] * np.eye(3)
+    M[3:6, 3:6] = Dop - Ls[1, 1] * np.eye(3)
+    rhs = np.array([0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
+    w = np.linalg.solve(M, rhs)
+    A1, B1, C1, A2, B2, C2 = w.tolist()
+    return CMCoefficients(A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2,
+                          residual=float(np.max(np.abs(M @ w - rhs))))
 
 
 def cm_denominator(kappa: float, gamma: float) -> float:

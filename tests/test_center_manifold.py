@@ -21,16 +21,14 @@ from selfpulse import (
     radial_growth_rate,
     to_normal_form,
 )
-from selfpulse.center_manifold import (
-    center_block,
-    lyapunov_coefficient_numeric,
-    normal_form_cubics,
-)
+from selfpulse.closed_forms import lyapunov_coefficient_numeric, normal_form_cubics
 
 from cm_oracles import (
+    center_block,
     closed_form_cm_coefficients,
     cm_denominator,
     manifold_point,
+    tangency_solve,
     trace_of_epsilon,
 )
 
@@ -38,7 +36,27 @@ kappas = st.floats(0.1, 10.0)
 gamma_fracs = st.floats(0.0, 1.0)
 
 
+# kappa across the range of floats, and r on both sides of 1 + sqrt 3, where
+# the stable pair at threshold turns real
+ORACLE_KAPPAS = np.geomspace(1e-150, 1e150, 13).tolist()
+ORACLE_RATIOS = [0.0, 0.1, 1.0, 1.0 + math.sqrt(3.0) - 1e-6, 1.0 + math.sqrt(3.0) + 1e-6,
+                 5.0, 100.0, 1e6]
+CM_NAMES = ("A1", "B1", "C1", "A2", "B2", "C2")
+
+
 class TestTangencySolve:
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_closed_forms_match_the_solve(self, kappa):
+        # Relative to the largest coefficient: the solve's error is normwise,
+        # and at r = 1e6 it leaves the small B2 2.5e-10 off by itself.
+        for r in ORACLE_RATIOS:
+            forms = cm_coefficients(kappa, r * kappa)
+            solved = tangency_solve(kappa, r * kappa)
+            x = np.array([getattr(forms, n) for n in CM_NAMES])
+            y = np.array([getattr(solved, n) for n in CM_NAMES])
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), r
+            assert forms.residual <= 1e-13, r
+
     @settings(max_examples=50, deadline=None)
     @given(kappas, gamma_fracs)
     def test_residual(self, kappa, gfrac):

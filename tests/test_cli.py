@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfpulse import __version__, cli
+from selfpulse import __version__, cli, commands
 
 CLI = [sys.executable, "-m", "selfpulse"]
 
@@ -89,6 +90,20 @@ class TestExitCodes:
         r = run_cli(args + ["--out", str(tmp_path)] if args[0] != "no-such-command" else args)
         assert r.returncode == 1, r.stderr
         assert "Traceback" not in r.stderr
+
+    # one grid past the cap is refused before its list is built, and two
+    # grids whose product is past it before any point is evaluated
+    @pytest.mark.parametrize("grids", [
+        ["--kappa-grid", "1:2:10000000000", "--gamma-grid", "0:1:2"],
+        ["--kappa-grid", "1:2:100000", "--gamma-grid", "0:1:100000"],
+    ], ids=["one_grid", "product"])
+    def test_sweep_size_is_bounded(self, grids, tmp_path):
+        r = run_cli(["sweep", *grids, "--out", str(tmp_path)], timeout=60)
+        assert r.returncode == 1, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert "--kappa-grid" in r.stderr and "--gamma-grid" in r.stderr
+        assert str(commands.MAX_SWEEP_POINTS) in r.stderr
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("optimize", ["", "1"])
     def test_overflowing_fixed_point_cubic_exits_2(self, optimize, tmp_path):
@@ -340,7 +355,7 @@ class TestFigure1Command:
                      "--out", str(tmp_path)])
         assert r.returncode == 0, r.stderr
         man = json.loads((tmp_path / "figure1_manifest.json").read_text())
-        assert set(man["parameters"]) == {opt.name for opt in cli._options("figure1")}
+        assert set(man["parameters"]) == {opt.name for opt in commands._options("figure1")}
 
 
 class TestSweepCommand:
@@ -444,6 +459,59 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path, args):
     r = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args, *out],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+_NO_NUMPY = """
+import runpy
+import sys
+sys.argv[0] = "selfpulse"
+try:
+    runpy.run_module("selfpulse", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    rc = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+if rc or loaded:
+    sys.exit(f"exit {rc}, numpy modules loaded: {loaded[:5]}")
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"],
+    ["fixed-point", "--kappa", "1", "--gamma", "0.1", "--epsilon", "0.13"],
+    ["hopf", "--kappa", "1", "--gamma", "0.1"],
+    ["sweep", "--kappa-grid", "0.1:10:5", "--gamma-grid", "0:1:3", "--quantities",
+     "epsilon_h,omega_h,d,a,beta_i0h,alpha_i0h,d_phi", "--delta-eps", "0.01"],
+], ids=lambda args: args[0])
+def test_closed_form_commands_do_not_import_numpy(tmp_path, args):
+    """``python -m selfpulse`` runs these on the standard library alone."""
+    out = [] if args == ["--version"] else ["--out", str(tmp_path)]
+    r = subprocess.run([sys.executable, "-c", _NO_NUMPY, *args, *out],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+# sha256 of the benchmark's quick sweep.csv as written before the closed-form
+# commands stopped importing numpy, when its grids came from np.linspace
+QUICK_SWEEP_SHA256 = "a5f111c82c6bfc335eb58f03b1ab7bf8d4bab0b727f02ecb0f90b8d0502c2ac6"
+
+
+def test_quick_sweep_output_is_pinned(tmp_path):
+    r = run_cli(["sweep", "--kappa-grid", "0.1:10:50", "--gamma-grid", "0:1:5",
+                 "--quantities", "epsilon_h,omega_h,d,a,d_phi", "--delta-eps", "0.01",
+                 "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == QUICK_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (10.0, 0.1), (0.0, 1.0), (1.0, 0.0),
+                                    (-3.0, 7.5), (1.0, 1.0), (0.0, 5e-324), (1e-300, 1e300),
+                                    (1.0, 1.0 + 2.0**-52)])
+@pytest.mark.parametrize("count", [1, 2, 5, 50, 10**4])
+def test_grid_is_numpys_linspace(lo, hi, count):
+    grid = commands._grid(f"{lo!r}:{hi!r}:{count}")
+    expected = np.linspace(lo, hi, count).tolist()
+    assert [v.hex() for v in grid] == [v.hex() for v in expected]
 
 
 _LIBRARY_NO_SCIPY = """

@@ -24,7 +24,7 @@ from selfpulse import (
     vector_field,
 )
 from selfpulse import cli, semiclassics
-from selfpulse.semiclassics import cubic_residual
+from selfpulse.closed_forms import FixedPoint, cubic_residual
 
 # strategies for well-conditioned parameter draws
 kappas = st.floats(0.1, 10.0)
@@ -196,7 +196,7 @@ class TestJacobian:
     def test_real_stable_pair_matches_eigvals(self, r):
         p = params_at(1.0, r, hopf_threshold(1.0, r).epsilon_h)
         numeric = np.sort(np.linalg.eigvals(jacobian(fixed_point(p), p)).real)[:2]
-        closed = hopf_eigenvalues(1.0, r)[2:]
+        closed = np.array(hopf_eigenvalues(1.0, r))[2:]
         assert np.all(closed.imag == 0.0)
         assert np.allclose(closed.real, numeric, rtol=1e-12, atol=0.0)
 
@@ -281,6 +281,30 @@ class TestHopfFrequency:
 
 
 class TestClassification:
+    # kappa across the range of floats; r on both sides of 1 + sqrt 3, where
+    # the stable pair at threshold turns real
+    @pytest.mark.parametrize("kappa", np.geomspace(1e-150, 1e150, 13).tolist())
+    def test_block_eigenvalues_match_eigvals(self, kappa):
+        for r in (0.0, 0.1, 1.0, 1.0 + math.sqrt(3.0) - 1e-6, 1.0 + math.sqrt(3.0) + 1e-6,
+                  5.0, 100.0, 1e6):
+            unit = hopf_threshold(1.0, r)
+            for frac in (0.0, 0.5, 1.0, 1.5):  # zero drive, below, at and above threshold
+                epsilon = frac * kappa * (kappa * unit.epsilon_h)
+                if not math.isfinite(epsilon):
+                    continue
+                # the critical point scales as kappa; fixed_point's cubic overflows
+                # past kappa ~ 1e100
+                fp = (fixed_point(params_at(1.0, r, frac * unit.epsilon_h)) if frac != 1.0
+                      else FixedPoint(unit.beta_i0h, unit.alpha_i0h, 0.0))
+                fp = FixedPoint(kappa * fp.beta_i0, kappa * fp.alpha_i0, 0.0)
+                p = params_at(kappa, r * kappa, epsilon)
+                rep = classify_fixed_point(p, fp)
+                ev = np.sort_complex(np.linalg.eigvals(jacobian(fp, p)))
+                # relative to the spectral radius, LAPACK's own error scale
+                err = np.max(np.abs(np.array(rep.eigenvalues) - ev))
+                assert err <= 1e-12 * np.max(np.abs(ev)), (r, frac)
+                assert rep.max_real_part == max(z.real for z in rep.eigenvalues)
+
     def test_stable_below_threshold(self):
         p = params_at(1.0, 0.1, 0.13)
         rep = classify_fixed_point(p, fixed_point(p))
