@@ -5,12 +5,12 @@ block acting on (beta_r, alpha_r) and a stable block acting on
 (beta_i, alpha_i) deviations.  The manifold beta_i = h1(c), alpha_i =
 h2(c) to quadratic order, the normal-form cubics and the coefficients d
 and a are closed forms in ``closed_forms``; this module evaluates the
-manifold and the normal-form map on arrays and predicts the limit cycle.
+manifold and the normal-form map (the rows of ``normal_form_rows``, read on
+each call) on arrays and predicts the limit cycle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,30 +48,18 @@ def normal_form_transform(kappa: float, gamma: float):
     """Linear change of variables (beta_r, alpha_r) = T (u, v) and its inverse.
 
     T and Tinv are the rows of ``closed_forms.normal_form_rows`` as 2x2
-    arrays.  ``kappa`` and ``gamma`` are scalars (Python or numpy, 0-d arrays included).  Results are
-    memoised per (float(kappa), float(gamma)), since full-mode phase noise
-    maps every step through the same transform; the returned arrays are
-    shared between calls and therefore read-only.
+    arrays, for scalar ``kappa`` and ``gamma`` (numpy and 0-d arrays too).
     """
-    return _normal_form_transform(float(kappa), float(gamma))
-
-
-@functools.lru_cache(maxsize=64)
-def _normal_form_transform(kappa: float, gamma: float):
-    T, Tinv = (np.array(rows) for rows in normal_form_rows(kappa, gamma))
-    T.flags.writeable = False
-    Tinv.flags.writeable = False
-    return T, Tinv
+    T, Tinv = normal_form_rows(float(kappa), float(gamma))
+    return np.array(T), np.array(Tinv)
 
 
 def to_normal_form(kappa: float, gamma: float, beta_r, alpha_r):
     """Map center-plane coordinates to normal-form coordinates (u, v)."""
-    _, Tinv = normal_form_transform(kappa, gamma)
+    _, ((ur, ua), (vr, va)) = normal_form_rows(float(kappa), float(gamma))
     x = np.asarray(beta_r, dtype=float)
     y = np.asarray(alpha_r, dtype=float)
-    u = Tinv[0, 0] * x + Tinv[0, 1] * y
-    v = Tinv[1, 0] * x + Tinv[1, 1] * y
-    return u, v
+    return ur * x + ua * y, vr * x + va * y
 
 
 # ---------------------------------------------------------------------------

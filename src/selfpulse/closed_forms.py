@@ -250,6 +250,12 @@ def hopf_eigenvalues(kappa: float, gamma: float) -> tuple:
     return 1j * om, -1j * om, re2 + 1j * im2, re2 - 1j * im2
 
 
+def default_cycle_dt(kappa: float, gamma: float) -> float:
+    """Phase-noise step min(0.01/omega_h, 0.05/max|eig|) from the spectrum at the bifurcation."""
+    return min(0.01 / hopf_frequency(kappa, gamma),
+               0.05 / max(map(abs, hopf_eigenvalues(kappa, gamma))))
+
+
 def radial_growth_rate(kappa: float, gamma: float) -> float:
     """Linear growth coefficient d of the radial normal form dr/dt = d*deps*r.
 

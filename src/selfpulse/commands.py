@@ -9,7 +9,8 @@ Each option is one row of ``_OPTIONS``: the argument parser, the
 resolution of flag text > config entry > default, and the manifest's
 replay argv are all built from that table.
 
-Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/validation error or an output that cannot be
+written, 2 numerical failure.
 
 ``python -m selfpulse`` runs ``main`` from here.  The closed-form commands
 (fixed-point, hopf, sweep) and ``--version`` import only the standard
@@ -419,8 +420,8 @@ def _run_figure2(p: dict, out: _Outputs) -> dict:
 #: Grid points (--kappa-grid times --gamma-grid) above which ``sweep``
 #: refuses to run: a 500 x 500 grid.  Each grid is checked before its list
 #: is built and the product before any point is evaluated.  10^5 points of
-#: all seven quantities took 2.4 s, peaked at 154 MB and wrote 17.6 MB on a
-#: 2-core host.
+#: all seven quantities took 2.1 s, peaked at 17 MB and wrote 17.6 MB on a
+#: 2-core host; rows are written as they are evaluated.
 MAX_SWEEP_POINTS = 250_000
 
 #: Each sweep quantity as a function of (kappa, gamma, delta_eps).
@@ -435,36 +436,36 @@ _SWEEP_QUANTITIES = {
 }
 
 
-def _sweep_point(kappa: float, gamma: float, quantities: list, delta_eps: float):
-    """One grid row, and its warnings as {(category, file, line): first message}.
+def _sweep_rows(p: dict, warned: dict):
+    """Yield the grid rows as they are evaluated, counting their warnings in ``warned``.
 
-    The interpreter's warning filters still apply: ``-W error`` makes a
-    warning fail the sweep, and ``-W ignore`` leaves nothing to record.
+    ``warned`` maps each warning site (category, file, line) to its first
+    message and the number of points at which it fired.  The interpreter's
+    warning filters still apply: ``-W error`` makes a warning fail the
+    sweep, and ``-W ignore`` leaves nothing to record.
     """
-    row = {"kappa": kappa, "gamma": gamma}
-    with warnings.catch_warnings(record=True) as log:
-        for q in quantities:
-            row[q] = _SWEEP_QUANTITIES[q](kappa, gamma, delta_eps)
-    caught = {}
-    for w in log:
-        caught.setdefault((w.category.__name__, w.filename, w.lineno), str(w.message))
-    return row, caught
+    for kappa in p["kappa_grid"]:
+        for gamma in p["gamma_grid"]:
+            with warnings.catch_warnings(record=True) as log:
+                row = [kappa, gamma] + [_SWEEP_QUANTITIES[q](kappa, gamma, p["delta_eps"])
+                                        for q in p["quantities"]]
+            sites = set()
+            for w in log:
+                site = (w.category.__name__, w.filename, w.lineno)
+                if site not in sites:
+                    sites.add(site)
+                    warned.setdefault(site, [str(w.message), 0])[1] += 1
+            yield row
 
 
 def _run_sweep(p: dict, out: _Outputs) -> None:
-    results = [_sweep_point(k, g, p["quantities"], p["delta_eps"])
-               for k in p["kappa_grid"] for g in p["gamma_grid"]]
-    rows = [row for row, _ in results]
-    header = ["kappa", "gamma"] + list(p["quantities"])
-    write_csv(out("sweep.csv"), header, [[row[h] for h in header] for row in rows])
-    print(f"wrote sweep.csv ({len(rows)} rows)")
-    # One line per warning site, not one per grid point.
     warned = {}
-    for _, caught in results:
-        for site, message in caught.items():
-            warned.setdefault(site, [message, 0])[1] += 1
+    write_csv(out("sweep.csv"), ["kappa", "gamma"] + p["quantities"], _sweep_rows(p, warned))
+    points = len(p["kappa_grid"]) * len(p["gamma_grid"])
+    print(f"wrote sweep.csv ({points} rows)")
+    # One line per warning site, not one per grid point.
     for (category, _, _), (message, count) in warned.items():
-        print(f"selfpulse sweep: {category} at {count} of {len(rows)} points, first: {message}",
+        print(f"selfpulse sweep: {category} at {count} of {points} points, first: {message}",
               file=sys.stderr)
 
 
@@ -575,12 +576,6 @@ _COMMANDS = {
 _ALL = " ".join(_COMMANDS)
 
 
-def _default_cycle_dt(p: dict) -> float:
-    from .stochastic import default_cycle_dt
-
-    return default_cycle_dt(p["kappa"], p["gamma"])
-
-
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _NON_EMPTY = (bool, "must be non-empty")
@@ -615,7 +610,8 @@ _OPTIONS = (
             lambda p: 1.0 if p["mode"] == "reduced" else 1e-3, *_NON_NEGATIVE),
     _Option("phase-diffusion", "--n-ensemble", int, 500,
             lambda v: v >= 100, "must be >= 100 for a meaningful fit"),
-    _Option("phase-diffusion", "--dt", _float, _default_cycle_dt, *_POSITIVE),
+    _Option("phase-diffusion", "--dt", _float,
+            lambda p: closed_forms.default_cycle_dt(p["kappa"], p["gamma"]), *_POSITIVE),
     _Option("phase-diffusion", "--t-final", _float, 80.0, *_POSITIVE),
     _Option("phase-diffusion", "--burn-in", _float,
             lambda p: 0.0 if p["mode"] == "reduced" else 10.0, *_NON_NEGATIVE),
@@ -749,15 +745,18 @@ def main(argv=None) -> int:
     outputs = _Outputs(out)
     try:
         report = _COMMANDS[args.command][0](p, outputs)
+        wall = time.monotonic() - start
+        if report is not None:
+            _echo(report, p["format"])
+        params = {k: str(v) if isinstance(v, complex) else v for k, v in p.items()}
+        _write_manifest(out, args.command, params, p["seed"], canonical_argv, outputs.names,
+                        wall)
+    except OSError as exc:  # an output or the manifest cannot be written; names the path
+        print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
+        return 1
     except (SelfPulseError, ArithmeticError) as exc:
         print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
         return 2
-    wall = time.monotonic() - start
-    if report is not None:
-        _echo(report, p["format"])
-
-    params = {k: str(v) if isinstance(v, complex) else v for k, v in p.items()}
-    _write_manifest(out, args.command, params, p["seed"], canonical_argv, outputs.names, wall)
     return 0
 
 

@@ -1,13 +1,14 @@
 """Monte-Carlo layer: linearized SDE ensembles and on-cycle phase noise.
 
 Every ensemble (linearized, reduced and full mode) is an Euler-Maruyama
-chain driven by the same per-member normals, drawn in chunks of ``_CHUNK``
-steps as the chain advances, so a run holds its recorded output plus one
-chunk of noise, never the whole noise record.  The linearized chain is
-linear in its state, so ``simulate_linear_sde`` evaluates it by blocks of
-steps, one matrix product per block; the nonlinear reduced and full modes
-step through ``_euler_maruyama``, each with its own step function.  The
-phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
+chain run by one driver, ``_euler_maruyama``, which owns the member list,
+the burn-in and the recorded columns, and draws the per-member normals in
+chunks of ``_CHUNK`` steps as the chain advances, so a run holds its
+recorded output plus one chunk of noise, never the whole noise record.
+Each chain supplies only its advance: the linearized chain is linear in its
+state, so it advances by blocks of ``_BLOCK`` steps, one matrix product per
+block; the nonlinear reduced and full modes advance one step at a time.
+The phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
 
 Reproducibility contract: every ensemble member draws from its own
 Philox4x64 stream with key = seed and counter high word = member index,
@@ -25,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center_manifold import (
-    normal_form_transform,
-    predict_limit_cycle,
-    radial_growth_rate,
-    lyapunov_coefficient,
-    to_normal_form,
-)
-from .closed_forms import hopf_eigenvalues, hopf_frequency, hopf_threshold
+from .center_manifold import predict_limit_cycle, radial_growth_rate, lyapunov_coefficient
+from .closed_forms import hopf_frequency, hopf_threshold, normal_form_rows
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
 from .model import SystemParams
@@ -77,25 +72,36 @@ def _noise_chunks(seed: int, members, n_burn: int, n_steps: int):
             yield xi
 
 
-def _euler_maruyama(config, state, step, out: np.ndarray, observe):
-    """Run an ensemble through burn-in and ``config.n_steps`` recorded steps.
+def _euler_maruyama(config, start, advance, observe, shape=(), member_offset=0, block=1):
+    """Run members ``member_offset`` onwards through burn-in and ``config.n_steps`` steps.
 
-    ``step(state, dw)`` advances the whole batch given its normals ``dw``,
-    shape (n, 2), member i drawing from stream i.
-    ``observe(state)`` is written to ``out[:, 0]`` after burn-in and to
-    ``out[:, j]`` after the j-th recorded step.  Returns the final state.
+    ``start(rows)`` is the initial state of ``rows`` members.  ``advance(state,
+    xi, dest)`` returns the state after the l <= ``block`` steps whose normals
+    are ``xi``, shape (rows, l, 2), row i drawn from member i's stream, and
+    records those l states in ``dest``, the next l columns of the output (None
+    during burn-in).  Column 0 holds ``observe(state)`` after burn-in.
+    Returns the final state of all rows and the members' output, shape
+    (n_ensemble, n_steps + 1, *shape).
     """
+    n = config.n_ensemble
+    members = range(member_offset, member_offset + n)
+    # numpy hands a one-row product to gemv, which rounds unlike the gemm of
+    # a batch; a duplicate row, drawn from a second copy of the member's
+    # stream, keeps a lone member's bits equal to its batched ones.
+    if n == 1:
+        members = [member_offset] * 2
     n_burn = int(round(config.burn_in / config.dt))
-    if n_burn == 0:
-        out[:, 0] = observe(state)
-    k = 1 - n_burn  # column of out written after the next step
-    for xi in _noise_chunks(config.seed, range(config.n_ensemble), n_burn, config.n_steps):
-        for j in range(xi.shape[1]):
-            state = step(state, xi[:, j])
-            if k >= 0:
-                out[:, k] = observe(state)
-            k += 1
-    return state
+    state = start(len(members))
+    out = np.empty((len(members), config.n_steps + 1, *shape))
+    k = -n_burn  # recorded steps done
+    for xi in _noise_chunks(config.seed, members, n_burn, config.n_steps):
+        if k == 0:
+            out[:, 0] = observe(state)
+        for j in range(0, xi.shape[1], block):
+            l = min(block, xi.shape[1] - j)
+            state = advance(state, xi[:, j:j + l], out[:, k + 1:k + l + 1] if k >= 0 else None)
+            k += l
+    return state, out[:n]
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,6 @@ class SDEConfig:
                 f"burn_in={self.burn_in} ask for {member_steps:.4g} member-steps and "
                 f"{recorded:.4g} recorded samples; the limits are {MAX_MEMBER_STEPS:.0e} "
                 f"and {MAX_RECORDED:.0e}")
-
-
-def default_cycle_dt(kappa: float, gamma: float) -> float:
-    """min(0.01/omega_h, 0.05/max|eig|) using the marginal-point spectrum."""
-    om_h = hopf_frequency(kappa, gamma)
-    lam = float(np.max(np.abs(hopf_eigenvalues(kappa, gamma))))
-    return min(0.01 / om_h, 0.05 / lam)
 
 
 def _linear_block_maps(M: np.ndarray, noise_scale: np.ndarray, L: int):
@@ -182,40 +181,23 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
         raise DomainError(
             f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
         )
-    dt = config.dt
     sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
-    L = _BLOCK
-    P, T = _linear_block_maps(np.eye(4) - dt * A.T, sqD * math.sqrt(dt), L)
-    n_burn = int(round(config.burn_in / dt))
-    n_steps = config.n_steps
-    members = range(member_offset, member_offset + config.n_ensemble)
-    # numpy hands a one-row product to gemv, which rounds unlike the gemm of
-    # a batch; a duplicate row, drawn from a second copy of the member's
-    # stream, keeps a lone member's bits equal to its batched ones.
-    if config.n_ensemble == 1:
-        members = [member_offset] * 2
-    rows = len(members)
+    P, T = _linear_block_maps(np.eye(4) - config.dt * A.T, sqD * math.sqrt(config.dt), _BLOCK)
 
-    x = np.zeros((rows, 4))
-    out = np.empty((rows, n_steps + 1, 4))
-    flat = out.reshape(rows, -1)
-    k = -n_burn  # recorded steps done
-    for xi in _noise_chunks(config.seed, members, n_burn, n_steps):
-        if k == 0:
-            out[:, 0] = x
-        for j in range(0, xi.shape[1], L):
-            l = min(L, xi.shape[1] - j)
-            noise = xi[:, j:j + l].reshape(rows, 2 * l)
-            if k < 0:  # burn-in needs only the last state of a block
-                last = slice(4 * l - 4, 4 * l)
-                x = x @ P[:, last] + noise @ T[:2 * l, last]
-            else:
-                block = flat[:, 4 * k + 4:4 * (k + l) + 4]
-                np.matmul(noise, T[:2 * l, :4 * l], out=block)
-                block += x @ P[:, :4 * l]
-                x = block[:, -4:]
-            k += l
-    return out[:config.n_ensemble]
+    def advance(x, xi, dest):
+        l = xi.shape[1]
+        noise = xi.reshape(len(xi), 2 * l)
+        if dest is None:  # burn-in needs only the last state of a block
+            last = slice(4 * l - 4, 4 * l)
+            return x @ P[:, last] + noise @ T[:2 * l, last]
+        block = dest.reshape(len(xi), 4 * l)  # a view: dest's columns are contiguous
+        np.matmul(noise, T[:2 * l, :4 * l], out=block)
+        block += x @ P[:, :4 * l]
+        return block[:, -4:]
+
+    _, out = _euler_maruyama(config, lambda rows: np.zeros((rows, 4)), advance, lambda x: x,
+                             shape=(4,), member_offset=member_offset, block=_BLOCK)
+    return out
 
 
 def stationary_covariance(model: LinearNoiseModel) -> np.ndarray:
@@ -326,9 +308,11 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     mode="full" integrates the 4-dim semiclassical flow with the same
     white noise injected along the center-plane directions of the
     normal-form transform, and reads the phase as atan2(u, v) through
-    the inverse transform.  The realized rotation makes this phase
-    decrease at |omega_h| for this flow's orientation; only the variance
-    growth enters the diffusion fit.
+    the inverse transform; both maps are read once per run.  The realized
+    rotation makes this phase decrease at |omega_h| for this flow's
+    orientation; only the variance growth enters the diffusion fit.  A
+    member that overflows (too large a ``noise_scale``) raises
+    NumericalError.
 
     The fitted slope scales linearly in the injected intensity, so runs
     at reduced ``noise_scale`` (useful for the full mode, where the
@@ -369,48 +353,61 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     sq = math.sqrt(dt)
     n = config.n_ensemble
     times = np.arange(config.n_steps + 1) * dt
-    phases = np.empty((n, config.n_steps + 1))
 
     if mode == "reduced":
         d = radial_growth_rate(kappa, gamma)
         a = lyapunov_coefficient(kappa, gamma)
         sig_r = sig if radial_noise else 0.0
 
-        def step(state, dw):
+        def advance(state, xi, dest):
             r, phi, alive = state
-            r = r + dt * (d * delta_epsilon * r + a * r**3) + sig_r * sq * dw[:, 0]
-            phi = phi + dt * om_h + (sig / A_amp) * sq * dw[:, 1]
+            r = r + dt * (d * delta_epsilon * r + a * r**3) + sig_r * sq * xi[:, 0, 0]
+            phi = phi + dt * om_h + (sig / A_amp) * sq * xi[:, 0, 1]
+            if dest is not None:
+                dest[:, 0] = phi
             return r, phi, alive & (r > 0.0)
 
-        start = (np.full(n, A_amp), np.zeros(n), np.ones(n, dtype=bool))
-        _, _, alive = _euler_maruyama(config, start, step, phases, lambda state: state[1])
-        excluded = int(n - alive.sum())
-        return PhaseRecord(times=times, phases=phases[alive] if excluded else phases,
+        (_, _, alive), phases = _euler_maruyama(
+            config, lambda rows: (np.full(rows, A_amp), np.zeros(rows), np.ones(rows, dtype=bool)),
+            advance, lambda state: state[1])
+        excluded = int(n - alive[:n].sum())
+        return PhaseRecord(times=times, phases=phases[alive[:n]] if excluded else phases,
                            excluded=excluded, noise_scale=noise_scale, config=config)
 
     # full mode
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
     run = SystemParams(kappa=kappa, gamma=gamma, epsilon=eps)
-    T, _ = normal_form_transform(kappa, gamma)
+    T, ((ur, ua), (vr, va)) = normal_form_rows(kappa, gamma)
     # Columns of T give the (u, v) directions in the (beta_r, alpha_r) plane.
-    dir_u = np.array([T[0, 0], 0.0, T[1, 0], 0.0])
-    dir_v = np.array([T[0, 1], 0.0, T[1, 1], 0.0])
-
-    def step(y, dw):
-        return y + dt * vector_field(y, run) + sig * sq * (np.outer(dw[:, 0], dir_u)
-                                                           + np.outer(dw[:, 1], dir_v))
+    dir_u = np.array([T[0][0], 0.0, T[1][0], 0.0])
+    dir_v = np.array([T[0][1], 0.0, T[1][1], 0.0])
 
     phi = prev = None
 
     def unwrapped_phase(y):
         nonlocal phi, prev
-        ang = np.arctan2(*to_normal_form(kappa, gamma, y[:, 0], y[:, 2]))
+        ang = np.arctan2(ur * y[:, 0] + ua * y[:, 2], vr * y[:, 0] + va * y[:, 2])  # atan2(u, v)
         # nearest-branch continuation from the previous sample
         phi = ang if phi is None else phi + ((ang - prev + math.pi) % (2.0 * math.pi) - math.pi)
         prev = ang
         return phi
 
-    _euler_maruyama(config, np.tile(pred.orbit(0.0)[0], (n, 1)), step, phases, unwrapped_phase)
+    def advance(y, xi, dest):
+        y = y + dt * vector_field(y, run) + sig * sq * (np.outer(xi[:, 0, 0], dir_u)
+                                                        + np.outer(xi[:, 0, 1], dir_v))
+        if dest is not None:
+            dest[:, 0] = unwrapped_phase(y)
+        return y
+
+    # A member that overflows stays non-finite, so the final states show them all.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, phases = _euler_maruyama(config, lambda rows: np.tile(pred.orbit(0.0)[0], (rows, 1)),
+                                    advance, unwrapped_phase)
+    overflowed = n - int(np.isfinite(y[:n]).all(axis=1).sum())
+    if overflowed:
+        raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at "
+                             f"noise_scale={noise_scale:g}; a smaller noise_scale keeps them "
+                             "near the cycle")
     phases -= phases[:, :1].copy()  # with a view of phases itself, numpy would copy all of it
     return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                        config=config)
@@ -448,6 +445,9 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
         raise DomainError(f"need >= 100 surviving members, got {n}")
     t = record.times
     var = record.variance
+    if not np.isfinite(var).all():
+        raise NumericalError("the phase variance is not finite: a member's phase is NaN or "
+                             "infinite")
     d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
     floor = (1e-12 * max(1.0, float(max(record.phases.max(), -record.phases.min())))) ** 2

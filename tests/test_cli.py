@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,30 @@ class TestExitCodes:
         assert row["omega_h"] == pytest.approx(kappa / 2.0, rel=1e-15)
         assert row["d"] == pytest.approx(2.0 * math.sqrt(2.0) / (3.0 * kappa), rel=1e-15)
         assert row["a"] == pytest.approx(-33.0 * kappa / 68.0, rel=1e-15)
+
+    # full-mode members overflow at these intensities; their NaN phases once
+    # gave d_phi_hat = NaN with R^2 = 1 and exit 0
+    @pytest.mark.parametrize("scale, t_final", [("10", "20"), ("1e6", "5")])
+    def test_full_mode_overflow_exits_2(self, scale, t_final, tmp_path):
+        r = run_cli(["phase-diffusion", "--mode", "full", "--noise-scale", scale,
+                     "--delta-eps", "0.05", "--n-ensemble", "100", "--t-final", t_final,
+                     "--out", str(tmp_path)])
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "noise_scale" in r.stderr
+        assert not (tmp_path / "phase_diffusion.json").exists()
+
+    # an output, or the manifest, whose path is a directory
+    @pytest.mark.parametrize("command, blocked", [
+        ("fixed-point", "fixed_point.json"),
+        ("spectrum", "spectrum.csv"),
+        ("fixed-point", "fixed_point_manifest.json"),
+    ], ids=["json", "csv", "manifest"])
+    def test_unwritable_output_exits_1(self, command, blocked, tmp_path):
+        (tmp_path / blocked).mkdir()
+        r = run_cli([command, "--out", str(tmp_path)])
+        assert r.returncode == 1, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert blocked in r.stderr
 
     def test_numerical_failure_exits_2(self, tmp_path):
         r = run_cli(["figure2", "--eps-list", "0.01,0.3", "--out", str(tmp_path)])
@@ -385,6 +410,21 @@ class TestSweepCommand:
             "selfpulse sweep: UserWarning at 123 of 250 points, first: gamma=0.25 is not "
             "small against kappa=0.1; the phase-diffusion constant is derived in the "
             "kappa >> gamma regime"]
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # rows are written as they are evaluated: 5000 points of all seven
+        # quantities peaked at 5.6 MB when the table was built first
+        p = {"kappa_grid": commands._linspace(0.1, 10.0, 100),
+             "gamma_grid": commands._linspace(0.0, 0.005, 50),
+             "quantities": list(commands._SWEEP_QUANTITIES), "delta_eps": 0.01}
+        tracemalloc.start()
+        try:
+            commands._run_sweep(p, commands._Outputs(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5001
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("action", ["error", "ignore"])
     def test_warning_filters_still_apply(self, tmp_path, action):

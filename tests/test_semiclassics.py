@@ -24,7 +24,7 @@ from selfpulse import (
     vector_field,
 )
 from selfpulse import cli, semiclassics
-from selfpulse.closed_forms import FixedPoint, cubic_residual
+from selfpulse.closed_forms import FixedPoint, cubic_residual, default_cycle_dt
 
 # strategies for well-conditioned parameter draws
 kappas = st.floats(0.1, 10.0)
@@ -191,6 +191,15 @@ class TestJacobian:
         ev = np.linalg.eigvals(jacobian(fixed_point(p), p))
         expected = hopf_eigenvalues(kappa, gamma)
         assert np.allclose(np.sort_complex(ev), np.sort_complex(expected), atol=1e-8)
+
+    # at r = 100 the real stable root, not omega_h, sets the step
+    @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 2.0), (1.0, 100.0),
+                                             (3e-5, 2e-5)])
+    def test_default_cycle_dt_matches_eigvals(self, kappa, gamma):
+        p = params_at(kappa, gamma, hopf_threshold(kappa, gamma).epsilon_h)
+        lam = np.max(np.abs(np.linalg.eigvals(jacobian(fixed_point(p), p))))
+        expected = min(0.01 / hopf_frequency(kappa, gamma), 0.05 / lam)
+        assert default_cycle_dt(kappa, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("r", [5.0, 100.0])
     def test_real_stable_pair_matches_eigvals(self, r):

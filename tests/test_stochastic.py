@@ -441,6 +441,15 @@ class TestMeasurePhaseDiffusion:
         with pytest.raises(NumericalError, match="not linear"):
             measure_phase_diffusion(synthetic_record(phases, times))
 
+    def test_non_finite_variance_rejected(self):
+        # an overflowed member's phase is NaN; a NaN ss_tot once read as R^2 = 1
+        rng = np.random.default_rng(9)
+        times = np.arange(201) * 0.1
+        phases = np.cumsum(rng.standard_normal((150, 201)), axis=1)
+        phases[17, 120] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            measure_phase_diffusion(synthetic_record(phases, times))
+
     def test_rejected_record_draws_no_bootstrap(self, monkeypatch):
         def no_draws(seed, member):
             raise AssertionError("bootstrap drawn for a rejected record")
