@@ -23,8 +23,8 @@ _EXPORTS = {
         radial_growth_rate""",
     "semiclassics": """LimitCycleMeasurement Trajectory detect_limit_cycle integrate jacobian
         vector_field""",
-    "center_manifold": """LimitCyclePrediction evaluate_manifold normal_form_transform
-        predict_limit_cycle to_normal_form""",
+    "center_manifold": """LimitCyclePrediction evaluate_manifold predict_limit_cycle
+        to_normal_form""",
     "noise": """LinearNoiseModel SpectralPeak SpectrumResult linear_noise_model spectral_peak
         spectrum spectrum_scan""",
     "stochastic": """PhaseDiffusionFit PhaseRecord SDEConfig estimate_psd measure_phase_diffusion

@@ -44,16 +44,6 @@ def evaluate_manifold(cm: CMCoefficients, beta_r, alpha_r):
 # normal form
 # ---------------------------------------------------------------------------
 
-def normal_form_transform(kappa: float, gamma: float):
-    """Linear change of variables (beta_r, alpha_r) = T (u, v) and its inverse.
-
-    T and Tinv are the rows of ``closed_forms.normal_form_rows`` as 2x2
-    arrays, for scalar ``kappa`` and ``gamma`` (numpy and 0-d arrays too).
-    """
-    T, Tinv = normal_form_rows(float(kappa), float(gamma))
-    return np.array(T), np.array(Tinv)
-
-
 def to_normal_form(kappa: float, gamma: float, beta_r, alpha_r):
     """Map center-plane coordinates to normal-form coordinates (u, v)."""
     _, ((ur, ua), (vr, va)) = normal_form_rows(float(kappa), float(gamma))

@@ -2,9 +2,10 @@
 
 Fluctuations live in the doubled phase space with independent variables
 ordered (d_beta, d_beta_dag, d_alpha, d_alpha_dag).  The equations are
-written as d[da]/dt = -A [da] + D^(1/2) [eta]; at the imaginary-axis
-critical point both A and D are real and D is diagonal positive
-semidefinite, which every constructor verifies.
+written as d[da]/dt = -A [da] + D^(1/2) [eta].  At the imaginary-axis
+critical point beta0 = i beta_i0, alpha0 = i alpha_i0 both A and D are real
+by construction, and D = diag(-2 alpha_i0, -2 alpha_i0, 0, 0) is positive
+semidefinite because alpha_i0 = -2 beta_i0^2 / kappa <= 0.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from .closed_forms import FixedPoint, fixed_point, hopf_threshold
 from .csvio import write_csv
 from .errors import DomainError, NumericalError, ThresholdError
 from .model import SystemParams
-
-#: Tolerance for the realness assertion at the fixed point.
-REALNESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -57,27 +55,19 @@ def linear_noise_model(params: SystemParams) -> LinearNoiseModel:
         )
 
     fp = fixed_point(params)
-    beta0 = 1j * fp.beta_i0
-    alpha0 = 1j * fp.alpha_i0
+    b = fp.beta_i0
+    a = fp.alpha_i0
     g2 = params.gamma / 2.0
     k2 = params.kappa / 2.0
     # Stability matrix of the doubled-space equations; A is its negative.
     M = np.array([
-        [-g2, 2j * alpha0, 2j * np.conj(beta0), 0.0],
-        [-2j * np.conj(alpha0), -g2, 0.0, -2j * beta0],
-        [2j * beta0, 0.0, -k2, 0.0],
-        [0.0, -2j * np.conj(beta0), 0.0, -k2],
+        [-g2, -2.0 * a, 2.0 * b, 0.0],
+        [-2.0 * a, -g2, 0.0, 2.0 * b],
+        [-2.0 * b, 0.0, -k2, 0.0],
+        [0.0, -2.0 * b, 0.0, -k2],
     ])
-    D = np.diag([2j * alpha0, -2j * np.conj(alpha0), 0.0, 0.0])
-
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M.imag)) > REALNESS_TOL * scale or np.max(np.abs(D.imag)) > REALNESS_TOL:
-        raise NumericalError("drift/diffusion failed the realness check at the fixed point")
-    A = -M.real
-    Dr = D.real
-    if np.min(np.diag(Dr)) < 0.0:
-        raise NumericalError("diffusion matrix has a negative diagonal entry")
-    return LinearNoiseModel(drift_A=A, diffusion_D=Dr, fixed_point=fp)
+    D = np.diag([-2.0 * a, -2.0 * a, 0.0, 0.0])
+    return LinearNoiseModel(drift_A=-M, diffusion_D=D, fixed_point=fp)
 
 
 def spectrum(model: LinearNoiseModel, omega) -> np.ndarray:

@@ -181,7 +181,7 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
         raise DomainError(
             f"stability guard violated: dt*max|eig A| = {config.dt * lam:.4g} > 0.05"
         )
-    sqD = np.sqrt(np.clip(D[:2], 0.0, None))  # channels 2, 3 carry no noise
+    sqD = np.sqrt(D[:2])  # channels 2, 3 carry no noise
     P, T = _linear_block_maps(np.eye(4) - config.dt * A.T, sqD * math.sqrt(config.dt), _BLOCK)
 
     def advance(x, xi, dest):

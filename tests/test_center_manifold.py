@@ -16,12 +16,15 @@ from selfpulse import (
     hopf_threshold,
     integrate,
     lyapunov_coefficient,
-    normal_form_transform,
     predict_limit_cycle,
     radial_growth_rate,
     to_normal_form,
 )
-from selfpulse.closed_forms import lyapunov_coefficient_numeric, normal_form_cubics
+from selfpulse.closed_forms import (
+    lyapunov_coefficient_numeric,
+    normal_form_cubics,
+    normal_form_rows,
+)
 
 from cm_oracles import (
     center_block,
@@ -114,11 +117,17 @@ class TestEvaluateManifold:
         assert h2s == pytest.approx(lam**2 * h2, rel=1e-12, abs=1e-300)
 
 
+def normal_form_arrays(kappa, gamma):
+    """T and its inverse from ``normal_form_rows`` as 2x2 arrays."""
+    T, Tinv = normal_form_rows(kappa, gamma)
+    return np.array(T), np.array(Tinv)
+
+
 class TestNormalFormTransform:
     @settings(max_examples=40, deadline=None)
     @given(kappas, gamma_fracs)
     def test_inverse_identity(self, kappa, gfrac):
-        T, Tinv = normal_form_transform(kappa, gfrac * kappa)
+        T, Tinv = normal_form_arrays(kappa, gfrac * kappa)
         assert np.max(np.abs(T @ Tinv - np.eye(2))) <= 1e-12
         assert np.max(np.abs(Tinv @ T - np.eye(2))) <= 1e-12
 
@@ -126,16 +135,17 @@ class TestNormalFormTransform:
     @given(kappas, gamma_fracs)
     def test_linear_part_becomes_rotation(self, kappa, gfrac):
         gamma = gfrac * kappa
-        T, Tinv = normal_form_transform(kappa, gamma)
+        T, Tinv = normal_form_arrays(kappa, gamma)
         om = hopf_frequency(kappa, gamma)
         R = Tinv @ center_block(kappa, gamma) @ T
         assert np.max(np.abs(R - np.array([[0.0, -om], [om, 0.0]]))) <= 1e-10
 
     def test_reference_entry(self):
-        T, _ = normal_form_transform(1.0, 0.0)
+        T, Tinv = normal_form_arrays(1.0, 0.0)
         assert T[0, 1] == pytest.approx(2.0 * (-math.sqrt(1.0 / 8.0)), rel=1e-15)
-        # numpy scalars and 0-d arrays give the arrays of their float values
-        assert np.array_equal(normal_form_transform(np.array(1.0), np.float64(0.0))[0], T)
+        # to_normal_form applies Tinv, and takes numpy scalars and 0-d arrays
+        u, v = to_normal_form(np.array(1.0), np.float64(0.0), 0.3, -0.2)
+        assert (u, v) == tuple(row[0] * 0.3 + row[1] * -0.2 for row in Tinv)
 
 
 class TestRadialGrowthRate:

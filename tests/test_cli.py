@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -105,6 +106,23 @@ class TestExitCodes:
         assert "--kappa-grid" in r.stderr and "--gamma-grid" in r.stderr
         assert str(commands.MAX_SWEEP_POINTS) in r.stderr
         assert not (tmp_path / "sweep.csv").exists()
+
+    # a scan holds about 1 KB a point; 10^12 points ended in numpy's
+    # allocation traceback
+    @pytest.mark.parametrize("command", ["spectrum", "figure2"])
+    def test_spectrum_size_is_bounded(self, command, tmp_path):
+        r = run_cli([command, "--n-points", "1000000000000", "--out", str(tmp_path)])
+        assert r.returncode == 1, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert "--n-points" in r.stderr and str(commands.MAX_SPECTRUM_POINTS) in r.stderr
+
+    def test_failing_sweep_leaves_no_table(self, tmp_path):
+        # epsilon_h is subnormal at the third point; the two rows before it
+        # were once left in sweep.csv
+        r = run_cli(["sweep", "--kappa-grid", "1:1e-161:3", "--gamma-grid", "0:0:1",
+                     "--quantities", "epsilon_h", "--out", str(tmp_path)])
+        assert r.returncode == 2, r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("optimize", ["", "1"])
     def test_overflowing_fixed_point_cubic_exits_2(self, optimize, tmp_path):
@@ -366,6 +384,29 @@ class TestFigure1Command:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
+    def test_jobs_capped_at_the_panel_count(self, tmp_path, monkeypatch):
+        # a process pool starts all max_workers processes at its first submit,
+        # so it is faked here: a real pool would be asked for 10^6 processes
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        code = commands.main(["figure1", "--pairs", "1.0,0.0;1.0,0.1", "--delta-eps-fracs", "0",
+                              "--jobs", "1000000", "--out", str(tmp_path)])
+        assert code == 0 and seen == [2]
+
     def test_zero_delta_eps_degenerates_to_marker(self, tmp_path):
         r = run_cli(["figure1", "--pairs", "1.0,0.0", "--delta-eps-fracs", "0",
                      "--out", str(tmp_path)])
@@ -570,6 +611,15 @@ if loaded:
 def test_linear_sde_library_calls_do_not_import_scipy():
     r = subprocess.run([sys.executable, "-c", _LIBRARY_NO_SCIPY], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    names = {}
+    exec(block, names)
+    assert round(names["fp"].beta_i0, 5) == -0.30608  # the block's commented values
+    assert round(names["hp"].epsilon_h, 6) == 0.222486
 
 
 class TestReplay:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from selfpulse.csvio import write_csv
 
@@ -23,3 +24,19 @@ def test_matches_the_row_by_row_writer(tmp_path):
     write_csv(tmp_path / "new.csv", header, np.column_stack([x, y, counts]))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+
+def two_rows_then_fail():
+    yield (1.0, 2.0)
+    yield (3.0, 4.0)
+    raise ArithmeticError("the third row fails")
+
+
+@pytest.mark.parametrize("earlier", [None, "before\n"], ids=["no_file", "earlier_file"])
+def test_failing_table_leaves_the_path_as_it_was(tmp_path, earlier):
+    if earlier is not None:
+        (tmp_path / "t.csv").write_text(earlier)
+    with pytest.raises(ArithmeticError):
+        write_csv(tmp_path / "t.csv", ("x", "y"), two_rows_then_fail())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["t.csv"])
+    if earlier is not None:
+        assert (tmp_path / "t.csv").read_text() == earlier

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from selfpulse import (
     DomainError,
@@ -29,6 +32,22 @@ def model_at(epsilon, kappa=1.0, gamma=0.1):
     return linear_noise_model(SystemParams(kappa=kappa, gamma=gamma, epsilon=epsilon))
 
 
+def complex_route(fp, kappa, gamma):
+    """M and D assembled in complex arithmetic from beta0 = i beta_i0, alpha0 = i alpha_i0."""
+    beta0 = 1j * fp.beta_i0
+    alpha0 = 1j * fp.alpha_i0
+    g2 = gamma / 2.0
+    k2 = kappa / 2.0
+    M = np.array([
+        [-g2, 2j * alpha0, 2j * np.conj(beta0), 0.0],
+        [-2j * np.conj(alpha0), -g2, 0.0, -2j * beta0],
+        [2j * beta0, 0.0, -k2, 0.0],
+        [0.0, -2j * np.conj(beta0), 0.0, -k2],
+    ])
+    D = np.diag([2j * alpha0, -2j * np.conj(alpha0), 0.0, 0.0])
+    return M, D
+
+
 class TestLinearNoiseModel:
     def test_empty_cavity(self):
         m = model_at(0.0, kappa=1.0, gamma=0.2)
@@ -48,6 +67,27 @@ class TestLinearNoiseModel:
             m = model_at(eps)
             assert m.drift_A.dtype.kind == "f"
             assert np.min(np.diag(m.diffusion_D)) >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-100.0, 100.0),
+           st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e)),
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.999, 0.999)))
+    def test_real_by_construction(self, log_kappa, ratio, frac):
+        # the complex assembly about beta0 = i beta_i0, alpha0 = i alpha_i0 is
+        # exactly real, and its real parts are the real-arithmetic A and D
+        kappa = 10.0**log_kappa
+        gamma = ratio * kappa
+        eps = frac * hopf_threshold(kappa, gamma).epsilon_h
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # within 1% of threshold
+            try:
+                m = model_at(eps, kappa=kappa, gamma=gamma)
+            except NumericalError:  # the fixed point overflows at kappa ~ 1e100, gamma/kappa ~ 1e7
+                reject()
+        M, D = complex_route(m.fixed_point, kappa, gamma)
+        assert np.all(M.imag == 0.0) and np.all(D.imag == 0.0)
+        assert np.array_equal(m.drift_A, -M.real)
+        assert np.array_equal(m.diffusion_D, D.real)
 
     def test_spectrum_matches_real_jacobian(self):
         # eig(-A) equals the semiclassical linearization spectrum
