@@ -267,27 +267,37 @@ def radial_growth_rate(kappa: float, gamma: float) -> float:
                                  kappa, gamma)
 
 
+#: The quartics P and Q of ``lyapunov_coefficient``, in ascending powers of r.
+_P = (99.0, 490.0, 808.0, 512.0, 128.0)
+_Q = (51.0, 284.0, 576.0, 480.0, 128.0)
+
+
+def _poly(coefficients, r: float) -> float:
+    """The polynomial with ``coefficients`` (ascending powers) at r, by Horner's rule.
+
+    For r > 1, the reversed polynomial at 1/r: the value over r^degree, free of overflow.
+    """
+    x, terms = (r, reversed(coefficients)) if r <= 1.0 else (1.0 / r, coefficients)
+    total = 0.0
+    for c in terms:
+        total = total * x + c
+    return total
+
+
 def lyapunov_coefficient(kappa: float, gamma: float) -> float:
     """Cubic radial coefficient a (negative: the bifurcation is supercritical).
 
-    With r = gamma/kappa, a = -kappa (1+r) P(r) / (4 Q(r)), where
-    P = 99 + 490r + 808r^2 + 512r^3 + 128r^4 and
-    Q = 51 + 284r + 576r^2 + 480r^3 + 128r^4, so a = -33 kappa/68 at
-    gamma = 0.  ``lyapunov_coefficient_numeric`` is the independent route
-    through the quadratic manifold, and ``cm_report`` reports both.  For
-    r > 1, P/Q is evaluated as the ratio of the reversed polynomials in 1/r,
-    since r^4 overflows from r ~ 1e77 while a ~ -kappa (1+r)/4 stays
-    representable.
+    With r = gamma/kappa, a = -kappa (1+r) P(r) / (4 Q(r)) for the
+    quartics P = ``_P`` and Q = ``_Q``, so a = -33 kappa/68 at gamma = 0.
+    ``lyapunov_coefficient_numeric`` is the independent route through the
+    quadratic manifold, and ``cm_report`` reports both.  For r > 1, P/Q is
+    evaluated as the ratio of the reversed polynomials in 1/r (see
+    ``_poly``), since r^4 overflows from r ~ 1e77 while a ~ -kappa (1+r)/4
+    stays representable.
     """
     r = rate_ratio(kappa, gamma)
-    if r <= 1.0:
-        p = 99.0 + r * (490.0 + r * (808.0 + r * (512.0 + r * 128.0)))
-        q = 51.0 + r * (284.0 + r * (576.0 + r * (480.0 + r * 128.0)))
-    else:
-        s = 1.0 / r
-        p = 128.0 + s * (512.0 + s * (808.0 + s * (490.0 + s * 99.0)))
-        q = 128.0 + s * (480.0 + s * (576.0 + s * (284.0 + s * 51.0)))
-    return -require_representable("|a|", kappa * (1.0 + r) * p / (4.0 * q), kappa, gamma)
+    return -require_representable("|a|", kappa * (1.0 + r) * _poly(_P, r) / (4.0 * _poly(_Q, r)),
+                                  kappa, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,7 @@ def _tangency_residual(r: float, w) -> float:
 
 
 #: Numerators of the manifold coefficients A1, B1, C1, A2, B2, C2 at unit
-#: kappa over Q(r) = (3 + 4r)(17 + 72r + 96r^2 + 32r^3), the Q of
+#: kappa over Q(r) = (3 + 4r)(17 + 72r + 96r^2 + 32r^3), the ``_Q`` of
 #: ``lyapunov_coefficient``: a constant, whether the factor sqrt(2 (1+r))
 #: enters, and a polynomial in r in ascending powers.
 _CM_NUMERATORS = (
@@ -345,7 +355,6 @@ _CM_NUMERATORS = (
     (-8.0, True, (6.0, 19.0, 10.0)),  # (2 + 5r)(3 + 2r)
     (8.0, False, (15.0, 61.0, 82.0, 44.0, 8.0)),  # (1 + 2r)(5 + 2r)(1 + r)(3 + 2r)
 )
-_CM_DENOMINATOR = (51.0, 284.0, 576.0, 480.0, 128.0)
 
 
 def cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
@@ -353,8 +362,8 @@ def cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
 
     With r = gamma/kappa each coefficient is f(r)/kappa, a rational
     function of r (see ``_CM_NUMERATORS``), times sqrt(2 (1+r)) for A1, C1
-    and B2.  For r > 1 the polynomials are evaluated reversed, in 1/r, as
-    in ``lyapunov_coefficient``, so no power of r overflows.  ``residual``
+    and B2.  For r > 1 ``_poly`` evaluates the polynomials reversed, in
+    1/r, so no power of r overflows.  ``residual``
     is that of the tangency equations the forms solve (see
     ``_tangency_residual``); the tests solve those equations as a 6x6
     linear system and compare.
@@ -366,22 +375,14 @@ def cm_coefficients(kappa: float, gamma: float) -> CMCoefficients:
         largest float.
     """
     r = rate_ratio(kappa, gamma)
-    x = r if r <= 1.0 else 1.0 / r
-
-    def poly(coefficients):  # Horner in x: for r > 1 the reversed polynomial in 1/r
-        total = 0.0
-        for c in (reversed(coefficients) if r <= 1.0 else coefficients):
-            total = total * x + c
-        return total
-
     root = math.sqrt(2.0 * (1.0 + r))
-    den = poly(_CM_DENOMINATOR)
+    den = _poly(_Q, r)
     w = []
     for c, rooted, numerator in _CM_NUMERATORS:
-        v = c * (root if rooted else 1.0) * poly(numerator) / den
+        v = c * (root if rooted else 1.0) * _poly(numerator, r) / den
         if r > 1.0:  # times r^(deg numerator - deg Q), one factor 1/r at a time
-            for _ in range(len(_CM_DENOMINATOR) - len(numerator)):
-                v *= x
+            for _ in range(len(_Q) - len(numerator)):
+                v *= 1.0 / r
         w.append(v)
     residual = _tangency_residual(r, w)
     if not residual <= TANGENCY_TOL:

@@ -25,6 +25,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -56,6 +57,11 @@ def _echo(doc: dict, fmt: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant honoring the exit-code contract (usage errors -> 1)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts with "-" and a digit, so -1e-3, -0.1+0.2j and -0.1,0.05 are values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -206,7 +212,7 @@ def _run_limit_cycle(p: dict, out: _Outputs) -> dict:
         "gamma": p["gamma"],
         "delta_epsilon": p["delta_eps"],
         "measured": {**{k: v for k, v in asdict(meas).items() if k != "crossing_times"},
-                     "normal_form_amplitude": nf_amp},
+                     "n_crossings": meas.n_crossings, "normal_form_amplitude": nf_amp},
         "predicted": {
             "amplitude_A": pred.amplitude_A,
             "amplitude_beta_r": pred.amplitude_beta_r,

@@ -22,7 +22,3 @@ class NumericalError(SelfPulseError, RuntimeError):
 
 class ThresholdError(DomainError):
     """Requested drive strength is at or beyond the Hopf threshold."""
-
-    def __init__(self, message, epsilon_h=None):
-        super().__init__(message)
-        self.epsilon_h = epsilon_h

@@ -44,8 +44,7 @@ def linear_noise_model(params: SystemParams) -> LinearNoiseModel:
     if abs(epsilon) >= eps_h:
         raise ThresholdError(
             f"|epsilon|={abs(epsilon):.6g} is at or beyond the threshold "
-            f"epsilon_h={eps_h:.6g}; the linearized spectrum is undefined",
-            epsilon_h=eps_h,
+            f"epsilon_h={eps_h:.6g}; the linearized spectrum is undefined"
         )
     if abs(epsilon) > 0.99 * eps_h:
         warnings.warn(
@@ -113,8 +112,9 @@ def spectrum_scan(model: LinearNoiseModel, omega_min: float, omega_max: float,
     """
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    if not (omega_max > omega_min):
-        raise DomainError("omega_max must exceed omega_min")
+    if not (0.0 < omega_max - omega_min < math.inf):  # an infinite width fills the grid with nan
+        raise DomainError(f"omega_max - omega_min must be finite and > 0, got "
+                          f"omega_min={omega_min:g}, omega_max={omega_max:g}")
     grid = np.linspace(omega_min, omega_max, int(n_points))
     S = spectrum(model, grid[:, None, None])
     return SpectrumResult(omega_grid=grid, S=S)

@@ -91,10 +91,7 @@ def vector_field(y, params: SystemParams):
 
 
 def _horner(row, x):
-    """The interpolant at x: row(0) = y_old plus the Horner sum of row(1) to row(7) = F0 to F6.
-
-    Works on floats and, in place, on arrays alike.
-    """
+    """The interpolant at x: row(0) = y_old plus the Horner sum of row(1) to row(7) = F0 to F6."""
     u = 1.0 - x
     y = row(7) * x
     for r in range(6, 0, -1):
@@ -111,25 +108,18 @@ class DenseOutput:
     (y_old, F0, ..., F6) of each step, shape (n, 8, 4), in the form of
     Hairer, Norsett & Wanner, Solving ODEs I, II.6, which scipy's
     ``DOP853`` also uses.  Like scipy's ``OdeSolution``, a time on a step
-    boundary takes the earlier step, a scalar time gives shape (4,) and
-    an array of m times gives shape (4, m).
+    boundary takes the earlier step and one outside the span its end step;
+    a scalar time gives shape (4,), an array of m times shape (4, m).
     """
 
     ts: np.ndarray
     coefficients: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
-        last = len(self.coefficients) - 1
-        if np.ndim(t) == 0:  # root finders ask one time at a time; floats are faster there
-            i = min(max(int(np.searchsorted(self.ts, t)) - 1, 0), last)
-            t_old = float(self.ts[i])
-            x = (float(t) - t_old) / (float(self.ts[i + 1]) - t_old)
-            return np.array([_horner(column.__getitem__, x)
-                             for column in self.coefficients[i].T.tolist()])
-        step = np.minimum(np.maximum(np.searchsorted(self.ts, t) - 1, 0), last)
+        step = np.searchsorted(self.ts[1:-1], t)  # the interior boundaries: no clipping
         t_old = self.ts[step]
-        x = ((np.asarray(t, dtype=float) - t_old) / (self.ts[step + 1] - t_old))[:, None]
-        return _horner(lambda r: self.coefficients[step, r], x).T
+        x = (np.asarray(t, dtype=float) - t_old) / (self.ts[step + 1] - t_old)
+        return _horner(lambda r: self.coefficients[step, r], x[..., None]).T
 
 
 @dataclass(frozen=True)
@@ -404,8 +394,11 @@ class LimitCycleMeasurement:
     mean_beta_i: float
     mean_alpha_i: float
     converged: bool
-    n_crossings: int
     crossing_times: np.ndarray
+
+    @property
+    def n_crossings(self) -> int:
+        return len(self.crossing_times)
 
 
 def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> LimitCycleMeasurement:
@@ -480,6 +473,5 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
         mean_beta_i=float(np.mean(ys[:, 1])),
         mean_alpha_i=float(np.mean(ys[:, 3])),
         converged=converged,
-        n_crossings=len(tc),
         crossing_times=tc,
     )

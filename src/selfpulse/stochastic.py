@@ -346,7 +346,9 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     s = 1.0 / kappa
     sig = math.sqrt(noise_scale * s / 2.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # amplitude warning re-checked by callers
+        # only A and the start point are read; the warning past 0.2 epsilon_h would fire at
+        # criterion 9's 0.28 epsilon_h and add a line to the CLI's one-line failures
+        warnings.simplefilter("ignore")
         pred = predict_limit_cycle(kappa, gamma, delta_epsilon)
     A_amp = pred.amplitude_A
     dt = config.dt
@@ -367,9 +369,15 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                 dest[:, 0] = phi
             return r, phi, alive & (r > 0.0)
 
-        (_, _, alive), phases = _euler_maruyama(
-            config, lambda rows: (np.full(rows, A_amp), np.zeros(rows), np.ones(rows, dtype=bool)),
-            advance, lambda state: state[1])
+        # a radius that overflows stays non-finite, so the final radii show them all
+        with np.errstate(over="ignore", invalid="ignore"):
+            (r, _, alive), phases = _euler_maruyama(
+                config, lambda rows: (np.full(rows, A_amp), np.zeros(rows), np.ones(rows, bool)),
+                advance, lambda state: state[1])
+        overflowed = n - int(np.isfinite(r[:n]).sum())
+        if overflowed:
+            raise NumericalError(f"{overflowed} of {n} reduced-mode radii overflowed at dt={dt:g}, "
+                                 f"delta_epsilon={delta_epsilon:g}; a smaller dt keeps them finite")
         excluded = int(n - alive[:n].sum())
         return PhaseRecord(times=times, phases=phases[alive[:n]] if excluded else phases,
                            excluded=excluded, noise_scale=noise_scale, config=config)

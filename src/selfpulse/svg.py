@@ -91,12 +91,19 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
         out.append(f'<text x="{_MARGIN_L - 8:.2f}" y="{y + 4:.2f}" font-size="11" '
                    f'text-anchor="end" font-family="sans-serif">{t:.4g}</text>')
 
+    legend, ly, lx = [], _MARGIN_T + 14, _MARGIN_L + plot_w - 150
     for idx, c in enumerate(curves):
         color = _COLORS[idx % len(_COLORS)]
         dash = ' stroke-dasharray="6,4"' if c.dashed else ""
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(c.x, c.y))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
+        if c.label:
+            legend.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 24:.2f}" '
+                          f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="1.5"{dash}/>')
+            legend.append(f'<text x="{lx + 30:.2f}" y="{ly:.2f}" font-size="11" '
+                          f'font-family="sans-serif">{c.label}</text>')
+            ly += 16
 
     if title:
         out.append(f'<text x="{_WIDTH / 2:.2f}" y="18" font-size="13" text-anchor="middle" '
@@ -108,20 +115,7 @@ def render_svg(path, curves, *, title: str = "", xlabel: str = "", ylabel: str =
         cx, cy = 14.0, _MARGIN_T + plot_h / 2
         out.append(f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="12" text-anchor="middle" '
                    f'font-family="sans-serif" transform="rotate(-90 {cx:.2f} {cy:.2f})">{ylabel}</text>')
-
-    ly = _MARGIN_T + 14
-    for idx, c in enumerate(curves):
-        if not c.label:
-            continue
-        color = _COLORS[idx % len(_COLORS)]
-        dash = ' stroke-dasharray="6,4"' if c.dashed else ""
-        lx = _MARGIN_L + plot_w - 150
-        out.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 24:.2f}" y2="{ly - 4:.2f}" '
-                   f'stroke="{color}" stroke-width="1.5"{dash}/>')
-        out.append(f'<text x="{lx + 30:.2f}" y="{ly:.2f}" font-size="11" '
-                   f'font-family="sans-serif">{c.label}</text>')
-        ly += 16
-
+    out += legend
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

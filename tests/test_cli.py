@@ -163,16 +163,41 @@ class TestExitCodes:
         # the step count t_final/dt overflows to inf before SDEConfig sees it
         (["phase-diffusion", "--kappa", "1", "--gamma", "0", "--delta-eps", "0.05",
           "--t-final", "1e308", "--dt", "1e-10"], ("--t-final", "--dt")),
+        # the grid's width overflows to inf: every row of the scan was nan, with exit 0
+        (["spectrum", "--omega-min=-1e308", "--omega-max", "1e308"], ("omega_min", "omega_max")),
+        (["figure2", "--omega-min=-1e308", "--omega-max", "1e308", "--eps-list", "0.1"],
+         ("omega_min", "omega_max")),
+        # the radial Euler step blows up; reported as no surviving members before
+        (["phase-diffusion", "--delta-eps", "150", "--n-ensemble", "100", "--t-final", "5"],
+         ("dt=", "delta_epsilon=150")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
             "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
-            "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in", "ensemble_step_overflow"])
+            "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in", "ensemble_step_overflow",
+            "spectrum_width_overflow", "figure2_width_overflow", "reduced_radius_overflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
         for part in named:  # the message names the input to change
             assert part in r.stderr
+
+    # argparse's own pattern takes only -1 and -.5 for values, so these exited 1
+    # with "expected one argument"
+    @pytest.mark.parametrize("args, recorded", [
+        (["simulate", "--beta0", "-0.1+0.2j", "--t-final", "1", "--n-samples", "5"],
+         "--beta0=-0.1+0.2j"),
+        (["fixed-point", "--epsilon", "-1e-3"], "--epsilon=-1e-3"),
+        (["spectrum", "--omega-min", "-1e-3"], "--omega-min=-1e-3"),
+        (["figure2", "--eps-list", "-0.1,0.05"], "--eps-list=-0.1,0.05"),
+    ], ids=["complex", "exponent", "range_end", "list"])
+    def test_negative_values_are_values(self, args, recorded, tmp_path):
+        r = run_cli(args + ["--out", str(tmp_path / "first")])
+        assert r.returncode == 0, r.stderr
+        manifest = tmp_path / "first" / (args[0].replace("-", "_") + "_manifest.json")
+        assert recorded in json.loads(manifest.read_text())["argv"]
+        r = run_cli(["replay", str(manifest), "--out", str(tmp_path / "replayed")])
+        assert r.returncode == 0, r.stderr
 
     # a polynomial in kappa and gamma overflowed here (kappa^6 in a's
     # denominator) and the runs exited 2; a ~ -33 kappa/68 is representable

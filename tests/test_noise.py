@@ -210,6 +210,9 @@ class TestSpectrumScan:
             spectrum_scan(m, -1.0, 1.0, 1)
         with pytest.raises(DomainError):
             spectrum_scan(m, 1.0, -1.0, 100)
+        # the width overflows to inf, which once filled the grid with nan
+        with pytest.raises(DomainError, match="omega_min=-1e\\+308, omega_max=1e\\+308"):
+            spectrum_scan(m, -1e308, 1e308, 5)
 
 
 class TestSpectralPeak:

@@ -454,7 +454,8 @@ def _assert_same_integration(traj, ref, t_check):
     states = traj.dense(t_check)
     assert states.shape == (4, len(t_check))
     assert traj.dense(t_check[0]).shape == (4,)
-    assert np.array_equal(traj.dense(t_check[0]), states[:, 0])
+    # each time asked alone gives its column of the array call, bit for bit
+    assert np.array_equal(np.array([traj.dense(t) for t in t_check]).T, states)
     assert np.max(np.abs(states - ref.sol(t_check))) <= 1e-11 * scale
 
 
@@ -515,9 +516,14 @@ class TestScipyRoute:
                          n_samples=q["n_samples"])
         written = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.array_equal(written, np.column_stack([traj.times, traj.y]))
-        midpoints = 0.5 * (traj.dense.ts[1:] + traj.dense.ts[:-1])
+        # midpoints, every step boundary (which takes the earlier step, as in
+        # scipy's OdeSolution) and half an end step outside the span (which takes
+        # that end step); further out, x^7 of the interpolant magnifies rounding
+        ts = traj.dense.ts
+        outside = [1.5 * ts[0] - 0.5 * ts[1], 1.5 * ts[-1] - 0.5 * ts[-2]]
+        t_check = np.concatenate([0.5 * (ts[1:] + ts[:-1]), ts, outside])
         _assert_same_integration(traj, _scipy_dop853(y0, p, q["t_final"], traj.times),
-                                 midpoints)
+                                 t_check)
 
 
 class TestBrentq:
