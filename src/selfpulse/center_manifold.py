@@ -79,7 +79,7 @@ class LimitCyclePrediction:
         th = self.omega_h * t + phase
         A = self.amplitude_A
         br = 2.0 * self.beta_i0h * A * np.cos(th)
-        ar = self.omega_h * A * np.sin(th) - self.kappa * A / 2.0 * np.cos(th)
+        ar = -self.omega_h * A * np.sin(th) - self.kappa * A / 2.0 * np.cos(th)
         bi = np.full_like(t, self.beta_i_const)
         ai = np.full_like(t, self.alpha_i_const)
         return np.column_stack([br, bi, ar, ai])

@@ -9,7 +9,7 @@ call.  ``python -m selfpulse`` and the ``selfpulse`` script run
 
 import sys
 
-from . import center_manifold, noise, semiclassics, stochastic, svg  # noqa: F401
+from . import center_manifold, cycles, noise, semiclassics, stochastic, svg  # noqa: F401
 from .commands import build_parser, main  # noqa: F401
 
 if __name__ == "__main__":

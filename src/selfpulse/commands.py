@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import re
@@ -179,56 +180,73 @@ def _run_hopf(p: dict, out: _Outputs) -> dict:
 # limit-cycle
 # ---------------------------------------------------------------------------
 
-def _measure_cycle(kappa: float, gamma: float, delta_eps: float, t_periods: float,
-                   rel_tol: float, transient_fraction: float = 0.5):
-    """Integrate from the predicted orbit and measure the settled cycle."""
+#: Equispaced phases of one period at which the commands read a collocated
+#: cycle's swing, means and normal-form radius.
+_CYCLE_PHASES = 1024
+
+
+def _collocated_cycle(kappa: float, gamma: float, delta_eps: float, rel_tol: float):
+    """The prediction, the collocated cycle, and its states and normal-form radii at
+    ``_CYCLE_PHASES`` phases of one period."""
     import numpy as np
 
-    from . import center_manifold as cm, semiclassics
+    from . import center_manifold as cm, cycles
 
-    hp = closed_forms.hopf_threshold(kappa, gamma)
     pred = cm.predict_limit_cycle(kappa, gamma, delta_eps)
-    params = SystemParams(kappa=kappa, gamma=gamma, epsilon=hp.epsilon_h + delta_eps)
-    period0 = 2.0 * math.pi / pred.omega_h
-    t_final = t_periods * period0
-    traj = semiclassics.integrate(
-        pred.orbit(0.0)[0], params, (0.0, t_final), rel_tol=rel_tol,
-        n_samples=max(2000, int(t_periods * 60)),  # 60 samples per period
-    )
-    meas = semiclassics.detect_limit_cycle(traj, transient_fraction=transient_fraction)
-    sel = traj.times >= traj.times[0] + transient_fraction * (traj.times[-1] - traj.times[0])
-    u, v = cm.to_normal_form(kappa, gamma, traj.y[sel, 0], traj.y[sel, 2])
-    radius = np.hypot(u, v)
-    return pred, meas, traj, radius
+    params = SystemParams(kappa=kappa, gamma=gamma,
+                          epsilon=closed_forms.hopf_threshold(kappa, gamma).epsilon_h + delta_eps)
+    orbit = cycles.limit_cycle(pred, params, rel_tol)
+    states = orbit(orbit.period * np.arange(_CYCLE_PHASES) / _CYCLE_PHASES)
+    u, v = cm.to_normal_form(kappa, gamma, states[:, 0], states[:, 2])
+    return pred, orbit, states, np.hypot(u, v)
 
 
 def _run_limit_cycle(p: dict, out: _Outputs) -> dict:
-    pred, meas, traj, radius = _measure_cycle(
-        p["kappa"], p["gamma"], p["delta_eps"], p["t_periods"], p["rel_tol"],
-    )
+    import numpy as np
+
+    from . import cycles
+    from .semiclassics import TRAJECTORY_HEADER, sample_times
+
+    period_h = 2.0 * math.pi / closed_forms.hopf_frequency(p["kappa"], p["gamma"])
+    times = sample_times(0.0, p["t_periods"] * period_h,
+                         max(2000, int(p["t_periods"] * 60)))  # 60 samples per period
+    pred, orbit, states, radius = _collocated_cycle(
+        p["kappa"], p["gamma"], p["delta_eps"], p["rel_tol"])
     nf_amp = float(radius.mean())
     doc = {
         "kappa": p["kappa"],
         "gamma": p["gamma"],
         "delta_epsilon": p["delta_eps"],
-        "measured": {**{k: v for k, v in asdict(meas).items() if k != "crossing_times"},
-                     "n_crossings": meas.n_crossings, "normal_form_amplitude": nf_amp},
+        "measured": {
+            "period": orbit.period,
+            "amplitude_beta_r": 0.5 * float(np.ptp(states[:, 0])),
+            "amplitude_alpha_r": 0.5 * float(np.ptp(states[:, 2])),
+            "mean_beta_i": float(states[:, 1].mean()),
+            "mean_alpha_i": float(states[:, 3].mean()),
+            "converged": True,  # a cycle that does not converge exits 2
+            "normal_form_amplitude": nf_amp,
+            "n_modes": orbit.n_modes,
+            "newton_iterations": orbit.newton_iterations,
+            "multipliers": sorted(np.abs(cycles.floquet_multipliers(orbit)[1:]).tolist(),
+                                  reverse=True),
+            "closure": cycles.closure(orbit, p["rel_tol"]),
+        },
         "predicted": {
             "amplitude_A": pred.amplitude_A,
             "amplitude_beta_r": pred.amplitude_beta_r,
-            "period": 2.0 * math.pi / pred.omega_h,
+            "period": period_h,
             "omega_h": pred.omega_h,
             "beta_i_const": pred.beta_i_const,
             "alpha_i_const": pred.alpha_i_const,
         },
         "relative_errors": {
             "amplitude": abs(nf_amp - pred.amplitude_A) / pred.amplitude_A,
-            "period": abs(meas.period - 2.0 * math.pi / pred.omega_h) * pred.omega_h
-            / (2.0 * math.pi),
+            "period": abs(orbit.period - period_h) / period_h,
         },
     }
     _write_json(out("limit_cycle.json"), doc)
-    traj.to_csv(out("limit_cycle_trajectory.csv"))
+    write_csv(out("limit_cycle_trajectory.csv"), TRAJECTORY_HEADER,
+              np.column_stack([times, orbit(times)]).tolist())
     return doc
 
 
@@ -308,10 +326,16 @@ def _run_phase_diffusion(p: dict, out: _Outputs) -> dict:
 # ---------------------------------------------------------------------------
 
 def _figure1_panel(task):
-    """One (kappa, gamma) panel: settled and predicted orbits per delta-eps, as (t, state) rows."""
+    """One (kappa, gamma) panel: collocated and predicted orbits per delta-eps, as (t, state)
+    rows, and the (category, message) of each warning raised on the way."""
+    with warnings.catch_warnings(record=True) as log:
+        panel = _figure1_orbits(*task)
+    return panel, [(w.category, str(w.message)) for w in log]
+
+
+def _figure1_orbits(kappa, gamma, fracs, rel_tol):
     import numpy as np
 
-    kappa, gamma, fracs, t_periods, rel_tol = task
     hp = closed_forms.hopf_threshold(kappa, gamma)
     panel = []
     for frac in fracs:
@@ -328,17 +352,15 @@ def _figure1_panel(task):
                 "period": float("nan"),
             })
             continue
-        pred, meas, traj, radius = _measure_cycle(
-            kappa, gamma, deps, t_periods, rel_tol, transient_fraction=0.6)
-        period = meas.period if meas.converged else 2.0 * math.pi / pred.omega_h
-        tail = traj.times >= traj.times[-1] - 1.05 * period
-        ts = np.linspace(0.0, 2.0 * math.pi / pred.omega_h, 241)
+        pred, orbit, _, radius = _collocated_cycle(kappa, gamma, deps, rel_tol)
+        ts = np.linspace(0.0, orbit.period, 61)  # 60 samples a period, as limit-cycle writes
+        ts_h = np.linspace(0.0, 2.0 * math.pi / pred.omega_h, 241)
         panel.append({
             "delta_eps": deps,
-            "numerical": np.column_stack([traj.times[tail], traj.y[tail]]),
-            "predicted": np.column_stack([ts, pred.orbit(ts)]),
+            "numerical": np.column_stack([ts, orbit(ts)]),
+            "predicted": np.column_stack([ts_h, pred.orbit(ts_h)]),
             "overlap": float(np.mean(np.abs(radius - pred.amplitude_A)) / pred.amplitude_A),
-            "period": period,
+            "period": orbit.period,
         })
     return panel
 
@@ -346,15 +368,18 @@ def _figure1_panel(task):
 def _run_figure1(p: dict, out: _Outputs) -> None:
     from .semiclassics import TRAJECTORY_HEADER
 
-    tasks = [(k, g, tuple(p["delta_eps_fracs"]), p["t_periods"], p["rel_tol"])
-             for k, g in p["pairs"]]
+    tasks = [(k, g, tuple(p["delta_eps_fracs"]), p["rel_tol"]) for k, g in p["pairs"]]
     if p["jobs"] > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
 
         with ProcessPoolExecutor(max_workers=min(p["jobs"], len(tasks))) as ex:
-            panels = list(ex.map(_figure1_panel, tasks))
+            results = list(ex.map(_figure1_panel, tasks))
     else:
-        panels = [_figure1_panel(task) for task in tasks]
+        results = [_figure1_panel(task) for task in tasks]
+    panels = [panel for panel, _ in results]
+    for _, log in results:  # raised again here, where main reports them, from any worker
+        for category, message in log:
+            warnings.warn(message, category)
 
     summary = []
     for idx, ((kappa, gamma), panel) in enumerate(zip(p["pairs"], panels)):
@@ -576,7 +601,7 @@ _COMMANDS = {
     "fixed-point": (_run_fixed_point, "critical point and stability"),
     "simulate": (_run_simulate, "integrate the semiclassical equations"),
     "hopf": (_run_hopf, "threshold, frequency and reduction report"),
-    "limit-cycle": (_run_limit_cycle, "measure the settled cycle above threshold"),
+    "limit-cycle": (_run_limit_cycle, "collocate the settled cycle above threshold"),
     "spectrum": (_run_spectrum, "linearized noise spectrum below threshold"),
     "phase-diffusion": (_run_phase_diffusion, "Monte-Carlo phase diffusion on the cycle"),
     "figure1": (_run_figure1, "limit cycles vs predictions, four panels"),
@@ -609,8 +634,8 @@ _OPTIONS = (
     _Option("simulate", "--abs-tol", _float, 1e-12),
     _Option("limit-cycle phase-diffusion", "--delta-eps", _float, None, *_POSITIVE),
     _Option("sweep", "--delta-eps", _float, 0.0, help="required > 0 for d_phi"),
-    _Option("limit-cycle", "--t-periods", _float, 150.0, *_POSITIVE),
-    _Option("figure1", "--t-periods", _float, 80.0, *_POSITIVE),
+    _Option("limit-cycle", "--t-periods", _float, 150.0, *_POSITIVE,
+            help="span of limit_cycle_trajectory.csv, in periods 2 pi / omega_h"),
     _Option("spectrum figure2", "--omega-min", _float, -2.0),
     _Option("spectrum figure2", "--omega-max", _float, 2.0),
     _Option("spectrum figure2", "--n-points", int, 2001, lambda v: 2 <= v <= MAX_SPECTRUM_POINTS,
@@ -733,6 +758,22 @@ def _replay_argv(args) -> list:
     return argv + ["--out", out]
 
 
+@contextlib.contextmanager
+def _one_line_warnings(command: str):
+    """Print each warning the block raises as one stderr line, as ``sweep`` prints its own.
+
+    The interpreter's warning filters still apply: ``-W error`` raises the
+    warning, and ``-W ignore`` leaves nothing to print.
+    """
+    with warnings.catch_warnings(record=True) as log:
+        try:
+            yield
+        finally:
+            for w in log:
+                print(f"selfpulse {command}: {w.category.__name__}: {w.message}",
+                      file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -756,7 +797,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     outputs = _Outputs(out)
     try:
-        report = _COMMANDS[args.command][0](p, outputs)
+        with _one_line_warnings(args.command):
+            report = _COMMANDS[args.command][0](p, outputs)
         wall = time.monotonic() - start
         if report is not None:
             _echo(report, p["format"])

@@ -211,6 +211,14 @@ def _error_norm(e5, e3, scale, h):
     return h * n5 / math.sqrt(4.0 * denom) if denom > 0.0 else math.nan
 
 
+def sample_times(t0: float, t1: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` uniform times from t0 to t1 inclusive, refused above ``MAX_SAMPLES``
+    before they are allocated."""
+    if not 1 <= int(n_samples) <= MAX_SAMPLES:
+        raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
+    return np.linspace(t0, t1, int(n_samples))
+
+
 def integrate(
     state0,
     params: SystemParams,
@@ -260,9 +268,7 @@ def integrate(
     if rel_tol < _MIN_REL_TOL:
         raise DomainError(f"rel_tol must be at least 100 machine epsilons "
                           f"({_MIN_REL_TOL:g}), got {rel_tol:g}")
-    if not 1 <= int(n_samples) <= MAX_SAMPLES:
-        raise DomainError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
-    times = np.linspace(t0, t1, int(n_samples))
+    times = sample_times(t0, t1, n_samples)
 
     from . import _dop853 as tab  # deferred: a start-up cost most commands never use
     f = vector_field  # the module attribute, so that a replacement of it is what runs
@@ -320,17 +326,25 @@ def integrate(
     return Trajectory(times=times, y=dense(times).T, params=params, dense=dense)
 
 
-def jacobian(fp: FixedPoint, params: SystemParams) -> np.ndarray:
-    """Linearization of the flow at a critical point, ordering (br, bi, ar, ai)."""
+def jacobian(y, params: SystemParams) -> np.ndarray:
+    """Linearization of the flow, ordering (br, bi, ar, ai).
+
+    ``y`` is a critical point (``FixedPoint``), a state of shape (4,) or a
+    batch of states of shape (..., 4); the result has shape (..., 4, 4).
+    """
+    if isinstance(y, FixedPoint):
+        y = y.to_vector()
+    br, bi, ar, ai = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
     k2 = params.kappa / 2.0
     g2 = params.gamma / 2.0
-    b, a = fp.beta_i0, fp.alpha_i0
-    return np.array([
-        [-2.0 * a - g2, 0.0, 2.0 * b, 0.0],
-        [0.0, 2.0 * a - g2, 0.0, 2.0 * b],
-        [-2.0 * b, 0.0, -k2, 0.0],
-        [0.0, -2.0 * b, 0.0, -k2],
-    ])
+    zero = np.zeros_like(br)
+    rows = [
+        [-2.0 * ai - g2, 2.0 * ar, 2.0 * bi, -2.0 * br],
+        [2.0 * ar, 2.0 * ai - g2, 2.0 * br, 2.0 * bi],
+        [-2.0 * bi, -2.0 * br, zero - k2, zero],
+        [2.0 * br, -2.0 * bi, zero, zero - k2],
+    ]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:

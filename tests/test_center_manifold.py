@@ -19,6 +19,7 @@ from selfpulse import (
     predict_limit_cycle,
     radial_growth_rate,
     to_normal_form,
+    vector_field,
 )
 from selfpulse.closed_forms import (
     lyapunov_coefficient_numeric,
@@ -272,6 +273,23 @@ class TestPredictLimitCycle:
         orb = pred.orbit(t, phase=0.3)
         u, v = to_normal_form(1.0, 0.0, orb[:, 0], orb[:, 2])
         assert np.allclose(np.hypot(u, v), pred.amplitude_A, rtol=1e-10)
+
+    @pytest.mark.parametrize("kappa, gamma", [(1.0, 0.0), (1.0, 0.1), (0.5, 0.0), (0.5, 0.5)])
+    def test_orbit_runs_with_the_flow(self, kappa, gamma):
+        # The velocity residual |d/dt orbit - f(orbit)| / |d/dt orbit| is the
+        # truncation's, O(sqrt(deps/eps_h)): at most 2.2-2.9 sqrt(deps/eps_h)
+        # over a period for these pairs.  An orbit run backwards reads 2 at
+        # every drive.
+        eps_h = hopf_threshold(kappa, gamma).epsilon_h
+        for frac in (1e-2, 1e-4, 1e-6):
+            pred = predict_limit_cycle(kappa, gamma, frac * eps_h)
+            period = 2.0 * math.pi / pred.omega_h
+            t = np.linspace(0.0, period, 64, endpoint=False)
+            h = 1e-6 * period
+            velocity = (pred.orbit(t + h) - pred.orbit(t - h)) / (2.0 * h)
+            flow = vector_field(pred.orbit(t), SystemParams(kappa, gamma, eps_h + frac * eps_h))
+            residual = np.linalg.norm(velocity - flow, axis=1) / np.linalg.norm(velocity, axis=1)
+            assert np.max(residual) <= 4.0 * math.sqrt(frac), (frac, np.max(residual))
 
     def test_invalid_delta_epsilon(self):
         with pytest.raises(DomainError):

@@ -83,7 +83,7 @@ class TestExitCodes:
         ["phase-diffusion", "--delta-eps", "0.05", "--burn-in", "-1"],
         ["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "-1"],
         ["limit-cycle", "--delta-eps", "0.01", "--t-periods", "-5"],
-        ["figure1", "--t-periods", "0"],
+        ["figure1", "--jobs", "0"],
         ["hopf", "--seed", "-1"],
         ["hopf", "--seed", str(2**64)],
     ])
@@ -330,7 +330,7 @@ def test_manifest_names_the_integrator(tmp_path, args, manifest, integrator):
     ["limit-cycle", "--delta-eps", "0.002", "--t-periods", "30"],
     ["spectrum", "--elements", "33,11", "--n-points", "101"],
     ["phase-diffusion", "--delta-eps", "0.05", "--n-ensemble", "100", "--t-final", "10"],
-    ["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0,0.05", "--t-periods", "30"],
+    ["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0,0.05"],
     ["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0", "--gnuplot"],
     ["figure2", "--n-points", "101"],
     ["figure2", "--n-points", "101", "--gnuplot"],
@@ -378,10 +378,36 @@ class TestFigure2Command:
         assert np.all(np.isfinite(data))
 
 
+class TestLimitCycleCommand:
+    def test_warning_takes_one_line(self, tmp_path):
+        r = run_cli(["limit-cycle", "--delta-eps", "0.1", "--t-periods", "30",
+                     "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines() == [
+            "selfpulse limit-cycle: UserWarning: delta_epsilon=0.1 exceeds "
+            "0.2*epsilon_h=0.03536; the leading-order prediction degrades this far from "
+            "threshold"]
+
+    def test_trajectory_samples_the_cycle(self, tmp_path):
+        r = run_cli(["limit-cycle", "--delta-eps", "0.002", "--t-periods", "30",
+                     "--out", str(tmp_path)])
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((tmp_path / "limit_cycle.json").read_text())
+        meas = doc["measured"]
+        assert "n_crossings" not in meas
+        assert meas["converged"] is True and meas["closure"] <= 1e-6
+        assert meas["n_modes"] >= 15 and meas["newton_iterations"] >= 1
+        assert len(meas["multipliers"]) == 3 and max(meas["multipliers"]) < 1.0
+        # max(2000, 60 t_periods) times over t_periods periods 2 pi / omega_h
+        traj = np.loadtxt(tmp_path / "limit_cycle_trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(traj[:, 0], np.linspace(0.0, 30.0 * 4.0 * math.pi, 2000))
+        # the cycle from its section crossing, not the transient from the predicted start
+        assert abs(traj[0, 1]) <= 1e-12 and traj[0, 3] < 0.0
+
+
 class TestFigure1Command:
     def test_panels_and_overlap(self, tmp_path):
-        r = run_cli(["figure1", "--t-periods", "60", "--delta-eps-fracs", "0.05,0.2",
-                     "--out", str(tmp_path)])
+        r = run_cli(["figure1", "--delta-eps-fracs", "0.05,0.2", "--out", str(tmp_path)])
         assert r.returncode == 0, r.stderr
         svgs = sorted(tmp_path.glob("figure1_panel*.svg"))
         assert len(svgs) == 4  # one per parameter pair
@@ -395,11 +421,15 @@ class TestFigure1Command:
         pred = np.loadtxt(tmp_path / "figure1_panel0_deps0_predicted.csv",
                           delimiter=",", skiprows=1)
         assert np.array_equal(pred[:, 0], np.linspace(0.0, 4.0 * math.pi, 241))
+        # the collocated cycle, closed: 61 times from its section crossing to its period
+        num = np.loadtxt(tmp_path / "figure1_panel0_deps0_numerical.csv",
+                         delimiter=",", skiprows=1)
+        assert np.array_equal(num[:, 0], np.linspace(0.0, summary[0]["period"], 61))
+        assert np.allclose(num[0, 1:], num[-1, 1:], rtol=0.0, atol=1e-12)
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         # two panels, so --jobs 2 runs them in two worker processes
-        args = ["figure1", "--pairs", "1.0,0.1;0.5,0.5", "--delta-eps-fracs", "0.05",
-                "--t-periods", "30"]
+        args = ["figure1", "--pairs", "1.0,0.1;0.5,0.5", "--delta-eps-fracs", "0.05"]
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         for jobs, out in (("1", serial), ("2", parallel)):
             r = run_cli(args + ["--jobs", jobs, "--out", str(out)])
@@ -408,6 +438,19 @@ class TestFigure1Command:
         assert names == outputs_of(parallel / "figure1_manifest.json")
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    def test_warnings_take_one_line_from_any_worker(self, tmp_path):
+        # 0.3 epsilon_h is past the prediction's 0.2 epsilon_h: one warning a panel
+        args = ["figure1", "--pairs", "1.0,0.0;0.5,0.5", "--delta-eps-fracs", "0.3"]
+        runs = [run_cli(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)])
+                for jobs in ("1", "2")]
+        for r in runs:
+            assert r.returncode == 0, r.stderr
+        assert runs[0].stderr == runs[1].stderr
+        lines = runs[0].stderr.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("selfpulse figure1: UserWarning: delta_epsilon=")
+                   for line in lines)
 
     def test_jobs_capped_at_the_panel_count(self, tmp_path, monkeypatch):
         # a process pool starts all max_workers processes at its first submit,
@@ -557,7 +600,7 @@ if rc or loaded:
     ["figure2"],
     ["simulate", "--t-final", "5"],
     ["limit-cycle", "--delta-eps", "0.05", "--t-periods", "20"],
-    ["figure1", "--pairs", "1,0", "--delta-eps-fracs", "0.05", "--t-periods", "40"],
+    ["figure1", "--pairs", "1,0", "--delta-eps-fracs", "0.05"],
     ["phase-diffusion", "--delta-eps", "0.05", "--n-ensemble", "100", "--t-final", "5"],
 ], ids=lambda args: args[0])
 def test_closed_form_commands_do_not_import_scipy(tmp_path, args):
@@ -689,8 +732,9 @@ class TestReplay:
         lambda path: {"argv": ["limit-cycle", "--kappa=1"], "version": "0.2.0"},
         lambda path: {"argv": ["fixed-point", "--kappa=1", "--jobs=1"], "version": "0.2.1"},
         lambda path: {"argv": ["simulate", "--chi=1.0"], "version": "0.2.2"},
+        lambda path: {"argv": ["figure1", "--t-periods=80"], "version": "0.2.3"},
     ], ids=["list", "argv-string", "wrong-version", "replays-itself", "before-dop853",
-            "before-brentq", "before-unread-options", "before-unit-chi"])
+            "before-brentq", "before-unread-options", "before-unit-chi", "before-collocation"])
     def test_malformed_manifest_exits_1(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest(path)))
@@ -720,7 +764,7 @@ class TestOutputModes:
 
     def test_figure1_gnuplot_script(self, tmp_path):
         r = run_cli(["figure1", "--pairs", "1.0,0.1", "--delta-eps-fracs", "0.05",
-                     "--t-periods", "30", "--gnuplot", "--out", str(tmp_path)])
+                     "--gnuplot", "--out", str(tmp_path)])
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "figure1_panel0.gp").read_bytes() == (
             b"set datafile separator ','\n"
