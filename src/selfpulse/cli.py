@@ -9,8 +9,9 @@ call.  ``python -m selfpulse`` and the ``selfpulse`` script run
 
 import sys
 
-from . import center_manifold, cycles, noise, semiclassics, stochastic, svg  # noqa: F401
+# commands first: it sets the BLAS thread policy before the layers import numpy
 from .commands import build_parser, main  # noqa: F401
+from . import center_manifold, cycles, noise, semiclassics, stochastic, svg  # noqa: F401
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,7 +16,8 @@ written, 2 numerical failure.
 (fixed-point, hopf, sweep) and ``--version`` import only the standard
 library; each other command imports numpy and the array layers it uses when
 it runs.  ``selfpulse.cli`` is the same front end with every layer loaded
-up front.
+up front.  Both run numpy's BLAS on one thread unless the environment sets
+a count (``BLAS_THREAD_VARIABLES``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import cmath
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -33,6 +35,20 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+#: The BLAS thread counts a command process sets to 1 unless the environment
+#: already names them.  They must be set before numpy is first imported, so
+#: ahead of every layer that imports it.  The collocation's LAPACK calls are
+#: small (61- to 1021-square), and a second OpenBLAS thread mostly spins: on
+#: a 2-core host a cold ``figure1 --jobs 1`` took 1.09 s of CPU at numpy's
+#: default of one thread per core against 0.55 s at one thread, for 0.62
+#: against 0.55 s wall, and ``import numpy`` alone 0.35 against 0.20 s of
+#: CPU (medians of 10 alternating pairs).  One thread also keeps the output
+#: bytes from depending on the host's core count.  Library callers that
+#: import numpy first keep their threads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
 
 from . import __version__, closed_forms
 from .csvio import write_csv

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import center_manifold as cm
+from .closed_forms import hopf_threshold
 from .errors import NumericalError
 from .model import SystemParams
 from .semiclassics import (
@@ -168,17 +169,32 @@ def limit_cycle(pred: cm.LimitCyclePrediction, params: SystemParams,
     nodes, then at 2N + 1 nodes, until the beta_r spectrum's tail is below
     ``TAIL_TOLERANCE``; where Newton fails at some N, the next N is seeded
     afresh from the settled period.  Raises ``NumericalError`` when the
-    settled span crosses the section fewer than twice, when the cycle's
-    beta_r swing falls below ``CYCLE_AMPLITUDE_FLOOR`` times its largest
-    |state| component, or when N would pass ``MAX_MODES``, Newton not
-    having converged or the tail still being above ``TAIL_TOLERANCE``.
+    predicted or the collocated cycle's beta_r swing falls below
+    ``CYCLE_AMPLITUDE_FLOOR`` times its largest |state| component (the
+    predicted one is checked before settling), when the settled span
+    crosses the section fewer than twice, or when N would pass
+    ``MAX_MODES``, Newton not having converged or the tail still being
+    above ``TAIL_TOLERANCE``.
     """
+    delta = params.epsilon - hopf_threshold(params.kappa, params.gamma).epsilon_h
+    where = (f"kappa={params.kappa:g}, gamma={params.gamma:g}, "
+             f"epsilon={params.epsilon:g} = epsilon_h + {delta:.3g}")
+
+    def below_floor(which, swing):
+        return NumericalError(f"the {which} beta_r swing {swing:.3g} is below "
+                              f"{CYCLE_AMPLITUDE_FLOOR:g} of its largest component, so it is "
+                              f"the fixed point ({where})")
+
+    # a cycle the floor would refuse once collocated is refused before settling,
+    # where Newton would stall on the near-singular radial direction at every N
+    start = pred.orbit(0.0)[0]
+    if not pred.amplitude_beta_r > CYCLE_AMPLITUDE_FLOOR * np.max(np.abs(start)):
+        raise below_floor("predicted", pred.amplitude_beta_r)
     # rounded as detect_limit_cycle rounds its floor of 10 candidate periods
     settle = SETTLE_PERIODS * (2.0 * math.pi / pred.omega_h)
-    traj = integrate(pred.orbit(0.0)[0], params, (0.0, settle), rel_tol=rel_tol,
+    traj = integrate(start, params, (0.0, settle), rel_tol=rel_tol,
                      n_samples=60 * SETTLE_PERIODS)
     crossings = detect_limit_cycle(traj, transient_fraction=0.0).crossing_times
-    where = f"kappa={params.kappa:g}, gamma={params.gamma:g}, epsilon={params.epsilon:g}"
     if len(crossings) < 2:
         raise NumericalError(f"the flow crossed the section beta_r = 0 {len(crossings)} times "
                              f"in {SETTLE_PERIODS} predicted periods, so it seeds no cycle "
@@ -196,10 +212,7 @@ def limit_cycle(pred: cm.LimitCyclePrediction, params: SystemParams,
         if solved is not None:
             swing = 0.5 * float(np.ptp(solved[:, 0]))
             if not swing > CYCLE_AMPLITUDE_FLOOR * np.max(np.abs(solved)):
-                raise NumericalError(
-                    f"the collocated cycle's beta_r swing {swing:.3g} is below "
-                    f"{CYCLE_AMPLITUDE_FLOOR:g} of its largest component, so it is the "
-                    f"fixed point ({where})")
+                raise below_floor("collocated cycle's", swing)
             tail = _tail(solved[:, 0])
             if tail <= TAIL_TOLERANCE:
                 return PeriodicOrbit(nodes=solved, omega=omega, params=params,

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfpulse import (
@@ -110,12 +111,23 @@ class TestEvaluateManifold:
             assert abs(h2p - h2m) / (2 * h) <= 1e-5
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 4.0))
+    @example(x=3.87109375, y=2.494140625, lam=0.3125)  # h1's terms cancel to 6.5e-5 of their size
     def test_homogeneous_quadratic_scaling(self, x, y, lam):
+        # Each side against the exact form at (x, y) times lam^2, within the
+        # error bound of a float three-term sum, 4 eps of the terms' magnitudes:
+        # a relative bound on the result fails wherever the terms cancel.
         cm = cm_coefficients(0.8, 0.2)
         h1, h2 = evaluate_manifold(cm, x, y)
         h1s, h2s = evaluate_manifold(cm, lam * x, lam * y)
-        assert h1s == pytest.approx(lam**2 * h1, rel=1e-12, abs=1e-300)
-        assert h2s == pytest.approx(lam**2 * h2, rel=1e-12, abs=1e-300)
+        eps = np.finfo(float).eps
+        fx, fy = Fraction(x), Fraction(y)
+        for (a, b, c), got, got_scaled in [((cm.A1, cm.B1, cm.C1), h1, h1s),
+                                           ((cm.A2, cm.B2, cm.C2), h2, h2s)]:
+            exact = Fraction(a) * fx * fx + Fraction(b) * fx * fy + Fraction(c) * fy * fy
+            size = abs(a) * x * x + abs(b * x * y) + abs(c) * y * y
+            for scale, value in [(1.0, got), (lam, got_scaled)]:
+                error = abs(Fraction(float(value)) - Fraction(scale) ** 2 * exact)
+                assert error <= 4.0 * eps * scale**2 * size + 1e-300
 
 
 def normal_form_arrays(kappa, gamma):

@@ -810,12 +810,50 @@ class TestConfigPrecedence:
 
 def test_package_reads_no_environment():
     """Every setting is a flag or config key, so the manifest records it and
-    replay reproduces it; the environment is no hidden third source."""
+    replay reproduces it; the environment is no hidden third source.  The one
+    line that touches it writes numpy's BLAS thread default, no setting of
+    selfpulse's own, and makes the output bytes independent of the core count."""
     src = Path(__file__).resolve().parent.parent / "src" / "selfpulse"
-    readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
-               for n, line in enumerate(path.read_text().splitlines(), 1)
+    readers = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+               for line in path.read_text().splitlines()
                if re.search(r"\b(environb?|getenvb?)\b", line)]
-    assert readers == []
+    assert readers == [("commands.py", 'os.environ.setdefault(_name, "1")')]
+    assert commands.BLAS_THREAD_VARIABLES == (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python_without_blas_threads(code, **env):
+    """Run ``code`` in a fresh interpreter on the source tree, with none of the
+    BLAS thread variables set apart from those in ``env``."""
+    root = Path(__file__).resolve().parent.parent
+    e = {k: v for k, v in os.environ.items() if k not in commands.BLAS_THREAD_VARIABLES}
+    e.update(PYTHONPATH=str(root / "src"), **env)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=e)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+class TestBlasThreads:
+    """A command process runs BLAS on one thread unless its environment says otherwise."""
+
+    def test_commands_sets_one_thread_without_numpy(self):
+        out = _python_without_blas_threads(
+            "import os, sys, selfpulse.commands as c\n"
+            "print([os.environ[n] for n in c.BLAS_THREAD_VARIABLES], 'numpy' in sys.modules)")
+        assert out.strip() == "['1', '1', '1'] False"
+
+    def test_a_set_count_is_kept(self):
+        out = _python_without_blas_threads(
+            "import os, selfpulse.commands\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="3")
+        assert out.strip() == "3"
+
+    def test_cli_sets_it_before_numpy_loads(self):
+        out = _python_without_blas_threads(
+            "import sys, selfpulse.cli\nm = list(sys.modules)\n"
+            "print(m.index('selfpulse.commands'), m.index('numpy'))")
+        commands_at, numpy_at = map(int, out.split())
+        assert commands_at < numpy_at
 
 
 def test_benchmark_tracer_finds_every_target(tmp_path):

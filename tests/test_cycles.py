@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,9 +103,8 @@ def test_jacobian_of_batched_states_is_the_vector_fields():
     assert np.array_equal(jac[1, 0], jacobian(states[1, 0], params))
 
 
-def _refused(capsys, tmp_path):
-    code = commands.main(["limit-cycle", "--delta-eps", "0.0017677669529663688",
-                          "--out", str(tmp_path)])
+def _refused(capsys, tmp_path, delta_eps="0.0017677669529663688"):
+    code = commands.main(["limit-cycle", "--delta-eps", delta_eps, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -124,6 +124,23 @@ class TestRefusals:
     def test_swing_below_floor(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cycles, "CYCLE_AMPLITUDE_FLOOR", 1.0)
         assert "fixed point" in _refused(capsys, tmp_path)
+
+    def test_newton_on_the_fixed_point(self, capsys, tmp_path, monkeypatch):
+        def still(nodes, omega, params):  # Newton landing on a constant orbit, as at the fixed point
+            return np.tile(nodes.mean(axis=0), (len(nodes), 1)), omega, 1
+
+        monkeypatch.setattr(cycles, "_newton", still)
+        assert "collocated cycle's beta_r swing 0 " in _refused(capsys, tmp_path)
+
+    def test_drive_below_the_floor_refused_at_once(self, capsys, tmp_path):
+        # at kappa = 1, gamma = 0 the predicted swing is 3.1e-7 against a floor of
+        # 3.5e-7; collocation Newton would stall at every N up to the cap
+        start = time.perf_counter()
+        err = _refused(capsys, tmp_path, "1e-13")
+        assert time.perf_counter() - start < 1.0
+        assert "predicted beta_r swing 3.12e-07" in err and "epsilon_h + 1e-13" in err
+        assert commands.main(["limit-cycle", "--delta-eps", "2e-13",
+                              "--out", str(tmp_path)]) == 0
 
     def test_fewer_than_two_crossings(self, capsys, tmp_path, monkeypatch):
         def one_crossing(traj, transient_fraction):
