@@ -27,6 +27,7 @@ from .closed_forms import (  # noqa: F401
     lyapunov_coefficient,
     normal_form_rows,
     radial_growth_rate,
+    require_representable,
 )
 from .errors import DomainError
 
@@ -93,20 +94,22 @@ def predict_limit_cycle(kappa: float, gamma: float, delta_epsilon: float) -> Lim
     """Normal-form amplitude A = sqrt(d*deps/|a|) and the predicted orbit.
 
     Warns when delta_epsilon exceeds 20% of the threshold drive, where
-    the leading-order truncation degrades.
+    the leading-order truncation degrades; an A that leaves the normal
+    floats raises NumericalError first.
     """
     if not (delta_epsilon > 0):
         raise DomainError(f"delta_epsilon must be > 0, got {delta_epsilon}")
     hp = hopf_threshold(kappa, gamma)
+    d = radial_growth_rate(kappa, gamma)
+    a = lyapunov_coefficient(kappa, gamma)
+    A = require_representable("A", math.sqrt(d * delta_epsilon / abs(a)), kappa, gamma,
+                              delta_epsilon=delta_epsilon)
     if delta_epsilon > 0.2 * hp.epsilon_h:
         warnings.warn(
             f"delta_epsilon={delta_epsilon:.4g} exceeds 0.2*epsilon_h={0.2 * hp.epsilon_h:.4g}; "
             "the leading-order prediction degrades this far from threshold",
             stacklevel=2,
         )
-    d = radial_growth_rate(kappa, gamma)
-    a = lyapunov_coefficient(kappa, gamma)
-    A = math.sqrt(d * delta_epsilon / abs(a))
     return LimitCyclePrediction(
         kappa=kappa,
         amplitude_A=A,

@@ -47,11 +47,16 @@ def rate_ratio(kappa: float, gamma: float) -> float:
     return gamma / kappa
 
 
-def require_representable(name: str, value: float, kappa: float, gamma: float) -> float:
-    """Return ``value``, positive in exact arithmetic; NumericalError unless a normal float."""
+def require_representable(name: str, value: float, kappa: float, gamma: float,
+                          **inputs: float) -> float:
+    """Return ``value``, positive in exact arithmetic; NumericalError unless a normal float.
+
+    The message names kappa, gamma and any further ``inputs`` by keyword.
+    """
     if not sys.float_info.min <= value < math.inf:
+        more = "".join(f", {key}={x:g}" for key, x in inputs.items())
         raise NumericalError(
-            f"{name} is {value:g}, out of range at kappa={kappa:g}, gamma={gamma:g}")
+            f"{name} is {value:g}, out of range at kappa={kappa:g}, gamma={gamma:g}{more}")
     return value
 
 
@@ -229,21 +234,26 @@ def hopf_frequency(kappa: float, gamma: float) -> float:
                                  kappa, gamma)
 
 
+_SQRT3 = math.sqrt(3.0)
+
+
 def hopf_eigenvalues(kappa: float, gamma: float) -> tuple:
     """Closed-form spectrum at the bifurcation, from the two 2x2 blocks.
 
     With r = gamma/kappa, the marginal pair is +/- i omega_h and the
     stable pair is kappa (-(1+r) +/- i sqrt(2(1+r) - r^2))/2, a real pair
-    for r > 1 + sqrt 3.  The small root of a real pair is taken as the
-    pair's product kappa^2 (4r + 3)/4 over the large root, since
-    -(1+r) + sqrt(r^2 - 2r - 2) cancels as r grows.
+    for r > 1 + sqrt 3.  There sqrt(r^2 - 2r - 2) is taken as
+    sqrt(r - 1 - sqrt 3) sqrt(r - 1 + sqrt 3), since r^2 overflows past
+    r ~ 1.3e154, and the small root as the pair's product
+    kappa^2 (4r + 3)/4 over the large root, since -(1+r) + sqrt(r^2 -
+    2r - 2) cancels as r grows.
     """
     om = hopf_frequency(kappa, gamma)
     r = rate_ratio(kappa, gamma)
     re2 = -kappa * (1.0 + r) / 2.0
     disc = 2.0 * (1.0 + r) - r * r
     if disc < 0.0:
-        s = math.sqrt(-disc)
+        s = math.sqrt(r - 1.0 - _SQRT3) * math.sqrt(r - 1.0 + _SQRT3)
         small = -kappa * (4.0 * r + 3.0) / (2.0 * (1.0 + r + s))
         return 1j * om, -1j * om, complex(re2 - kappa * s / 2.0, 0.0), complex(small, 0.0)
     im2 = kappa * math.sqrt(disc) / 2.0
@@ -522,7 +532,8 @@ def phase_diffusion_constant(kappa: float, delta_epsilon: float,
         )
     prefactor = 99.0 / (272.0 * math.sqrt(2.0))
     return PhaseDiffusionConstant(
-        value=prefactor * (kappa / delta_epsilon),
+        value=require_representable("d_phi", prefactor * (kappa / delta_epsilon), kappa, gamma,
+                                    delta_epsilon=delta_epsilon),
         prefactor=prefactor,
         rounded_value=0.26 * kappa / delta_epsilon,
     )

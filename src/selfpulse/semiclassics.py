@@ -347,59 +347,6 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign, to xtol + 4 eps |x|.
-
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) as scipy's ``brentq`` takes it, step for step: the port of its
-    brentq.c, with its relative tolerance of 4 machine epsilons and its 100
-    iterations, so that both return the same float.  ``f`` maps a float to
-    a float.  Raises ValueError when f(xa) and f(xb) have the same sign.
-    """
-    rtol = 4.0 * sys.float_info.epsilon
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f({xa:g}) and f({xb:g}) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre  # the bracket is [xcur, xblk]
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur is the better end
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's step is then inf or nan, which bisects
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise NumericalError(f"Brent's method did not converge in 100 iterations on "
-                         f"[{xa:g}, {xb:g}]; last x={xcur:g}")
-
-
 @dataclass(frozen=True)
 class LimitCycleMeasurement:
     period: float
@@ -422,12 +369,13 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     (the critical point has beta_r0 = 0, so the section passes through
     the cycle's interior).  One vectorised pass over the samples finds
     the crossings, each either a sample on the section or a bracket of
-    two samples of opposite beta_r, which Brent's method refines on
-    ``traj.dense``.  The measurement counts as converged when
-    successive crossing states agree to 1e-4 relative and the swing
-    ``amplitude_beta_r`` exceeds ``CYCLE_AMPLITUDE_FLOOR`` times the
-    largest |state| component of the segment, so that integration noise
-    about a stable fixed point, however regular, is never a cycle.
+    two samples of opposite beta_r, and one vectorised bisection on
+    ``traj.dense`` refines every bracket at once.  The measurement
+    counts as converged when successive crossing states agree to 1e-4
+    relative and the swing ``amplitude_beta_r`` exceeds
+    ``CYCLE_AMPLITUDE_FLOOR`` times the largest |state| component of the
+    segment, so that integration noise about a stable fixed point,
+    however regular, is never a cycle.
 
     Returns ``converged=False`` with nan period and zero amplitudes when
     fewer than two crossings are found (fixed-point regime).
@@ -451,21 +399,22 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
 
     # At beta_r = 0 the flow gives dalpha_r/dt = -(kappa/2) alpha_r, so
     # "alpha_r increasing" is exactly alpha_r < 0 on the section.  A sample
-    # on the section is a crossing as it stands; a sign change of beta_r
-    # between two samples brackets one, located on the dense output to
-    # 1e-14 * max(1, |t|).
+    # on the section is a crossing as it stands (a bracket of width 0); a
+    # sign change of beta_r between two samples brackets one, and all
+    # brackets are halved together on the dense output until each is
+    # within 1e-14 * max(1, |t|).  ``side`` is +1 where the midpoint has the
+    # sign of the bracket's first sample, -1 past the crossing, 0 on it.
     on = (br[:-1] == 0.0) & (ar[:-1] < 0.0)
     across = (br[:-1] * br[1:] < 0.0) & (0.5 * (ar[:-1] + ar[1:]) < 0.0)
-
-    def beta_r(t):
-        return float(traj.dense(t)[0])
-
-    crossings = [ts[i] if on[i] else
-                 _brentq(beta_r, float(ts[i]), float(ts[i + 1]),
-                         1e-14 * max(1.0, abs(ts[i + 1])))
-                 for i in np.flatnonzero(on | across)]
-
-    tc = np.asarray(crossings)
+    first = np.flatnonzero(on | across)  # each bracket's first sample
+    lo, hi = ts[first], np.where(on[first], ts[first], ts[first + 1])
+    start_sign = np.sign(br[first])
+    tol = 1e-14 * np.maximum(1.0, np.abs(hi))
+    while np.any(hi - lo > tol):  # tol spans over 40 floats, so each halving shrinks
+        mid = 0.5 * (lo + hi)
+        side = np.sign(traj.dense(mid)[0]) * start_sign
+        lo, hi = np.where(side >= 0.0, mid, lo), np.where(side > 0.0, hi, mid)
+    tc = 0.5 * (lo + hi)
     period, amplitude, amplitude_ar, converged = math.nan, 0.0, 0.0, False
     if len(tc) >= 2:
         period = float(np.mean(np.diff(tc)))

@@ -433,6 +433,13 @@ class PhaseDiffusionFit:
     n_members: int
 
 
+def _require_finite_fit(name: str, value: float, var: np.ndarray) -> None:
+    """NumericalError unless ``value``, a statistic of the variance fit, is finite."""
+    if not math.isfinite(value):
+        raise NumericalError(f"the phase-variance fit's {name} is {value:g}: squares of the "
+                             f"variance (up to {float(var.max()):.3g}) leave the float range")
+
+
 def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> PhaseDiffusionFit:
     """Least-squares slope of the ensemble phase variance versus time.
 
@@ -444,7 +451,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     variance follows from two matrix products with the centred phases,
     block by block of time columns, and no resampled copy of the record
     is built.  Sub-linear or saturating growth (R^2 < 0.9) raises
-    NumericalError.
+    NumericalError, as does a non-finite R^2 or standard error.
     """
     if n_bootstrap < 2:
         raise DomainError(f"n_bootstrap must be >= 2 for a standard error, got {n_bootstrap}")
@@ -463,9 +470,11 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
         return PhaseDiffusionFit(d_phi_hat=0.0, stderr=0.0, d_phi_hat_physical=0.0,
                                  stderr_physical=0.0, r_squared=1.0, n_members=n)
     fit = d_hat * t
-    ss_res = float(((var - fit) ** 2).sum())
-    ss_tot = float(((var - var.mean()) ** 2).sum())
+    with np.errstate(over="ignore"):  # squares past the float range: refused below
+        ss_res = float(((var - fit) ** 2).sum())
+        ss_tot = float(((var - var.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    _require_finite_fit("R^2", r2, var)
     if r2 < 0.9:
         raise NumericalError(
             f"variance growth is not linear (R^2 = {r2:.3f} < 0.9); the diffusion "
@@ -482,11 +491,13 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     for b in range(n_bootstrap):
         W[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     boot_var_t = np.zeros(n_bootstrap)  # each resample's variance dotted with t
-    for cols, y in record._centred_blocks():
-        mean = (W @ y) / n
-        y *= y
-        boot_var_t += ((W @ y - n * mean**2) / (n - 1)) @ t[cols]
-    stderr = float((boot_var_t / (t @ t)).std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as for R^2
+        for cols, y in record._centred_blocks():
+            mean = (W @ y) / n
+            y *= y
+            boot_var_t += ((W @ y - n * mean**2) / (n - 1)) @ t[cols]
+        stderr = float((boot_var_t / (t @ t)).std(ddof=1))
+    _require_finite_fit("stderr", stderr, var)
     scale = record.noise_scale if record.noise_scale > 0 else 1.0
     return PhaseDiffusionFit(
         d_phi_hat=d_hat,

@@ -170,11 +170,26 @@ class TestExitCodes:
         # the radial Euler step blows up; reported as no surviving members before
         (["phase-diffusion", "--delta-eps", "150", "--n-ensemble", "100", "--t-final", "5"],
          ("dt=", "delta_epsilon=150")),
+        # squares of a finite phase variance overflow in the fit: R^2 was written as NaN
+        # and the standard error as Infinity, with exit 0
+        (["phase-diffusion", "--delta-eps", "1e-200", "--n-ensemble", "100", "--t-final", "5"],
+         ("R^2", "variance")),
+        (["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "1e300",
+          "--n-ensemble", "100", "--t-final", "5"], ("R^2", "variance")),
+        (["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "1e154",
+          "--n-ensemble", "100", "--t-final", "0.1"], ("stderr", "variance")),
+        # D_phi = 0.26 kappa/delta_epsilon overflows; the row read inf, with exit 0
+        (["sweep", "--kappa-grid", "1e100:1e100:1", "--gamma-grid", "0:0:1",
+          "--quantities", "d_phi", "--delta-eps", "1e-300"], ("d_phi", "delta_epsilon=1e-300")),
+        # A = sqrt(d delta_epsilon/|a|) overflows; once reported as a swing below the floor
+        (["limit-cycle", "--delta-eps", "1e308"], ("A is inf", "delta_epsilon=1e+308")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
             "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
             "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in", "ensemble_step_overflow",
-            "spectrum_width_overflow", "figure2_width_overflow", "reduced_radius_overflow"])
+            "spectrum_width_overflow", "figure2_width_overflow", "reduced_radius_overflow",
+            "phase_variance_tiny_drive", "phase_variance_noise_scale", "phase_stderr_overflow",
+            "sweep_d_phi_overflow", "limit_cycle_amplitude_overflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
