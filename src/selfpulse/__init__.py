@@ -9,7 +9,7 @@ numpy.
 
 from importlib import import_module
 
-__version__ = "0.2.4"
+__version__ = "0.2.5"
 
 #: Each public name, by the module that defines it.
 _EXPORTS = {

@@ -121,7 +121,7 @@ def _write_manifest(out: Path, command: str, params: dict, seed: int,
         "outputs": outputs,
         "wall_time_s": wall,
     }
-    if "rel_tol" in params:  # the commands that take --rel-tol are those that integrate
+    if command in ("simulate", "limit-cycle", "figure1"):  # the commands that integrate
         from .semiclassics import INTEGRATOR
 
         doc["integrator"] = INTEGRATOR
@@ -201,7 +201,7 @@ def _run_hopf(p: dict, out: _Outputs) -> dict:
 _CYCLE_PHASES = 1024
 
 
-def _collocated_cycle(kappa: float, gamma: float, delta_eps: float, rel_tol: float):
+def _collocated_cycle(kappa: float, gamma: float, delta_eps: float):
     """The prediction, the collocated cycle, and its states and normal-form radii at
     ``_CYCLE_PHASES`` phases of one period."""
     import numpy as np
@@ -211,7 +211,7 @@ def _collocated_cycle(kappa: float, gamma: float, delta_eps: float, rel_tol: flo
     pred = cm.predict_limit_cycle(kappa, gamma, delta_eps)
     params = SystemParams(kappa=kappa, gamma=gamma,
                           epsilon=closed_forms.hopf_threshold(kappa, gamma).epsilon_h + delta_eps)
-    orbit = cycles.limit_cycle(pred, params, rel_tol)
+    orbit = cycles.limit_cycle(pred, params)
     states = orbit(orbit.period * np.arange(_CYCLE_PHASES) / _CYCLE_PHASES)
     u, v = cm.to_normal_form(kappa, gamma, states[:, 0], states[:, 2])
     return pred, orbit, states, np.hypot(u, v)
@@ -226,8 +226,7 @@ def _run_limit_cycle(p: dict, out: _Outputs) -> dict:
     period_h = 2.0 * math.pi / closed_forms.hopf_frequency(p["kappa"], p["gamma"])
     times = sample_times(0.0, p["t_periods"] * period_h,
                          max(2000, int(p["t_periods"] * 60)))  # 60 samples per period
-    pred, orbit, states, radius = _collocated_cycle(
-        p["kappa"], p["gamma"], p["delta_eps"], p["rel_tol"])
+    pred, orbit, states, radius = _collocated_cycle(p["kappa"], p["gamma"], p["delta_eps"])
     nf_amp = float(radius.mean())
     doc = {
         "kappa": p["kappa"],
@@ -245,7 +244,7 @@ def _run_limit_cycle(p: dict, out: _Outputs) -> dict:
             "newton_iterations": orbit.newton_iterations,
             "multipliers": sorted(np.abs(cycles.floquet_multipliers(orbit)[1:]).tolist(),
                                   reverse=True),
-            "closure": cycles.closure(orbit, p["rel_tol"]),
+            "closure": cycles.closure(orbit),
         },
         "predicted": {
             "amplitude_A": pred.amplitude_A,
@@ -349,7 +348,7 @@ def _figure1_panel(task):
     return panel, [(w.category, str(w.message)) for w in log]
 
 
-def _figure1_orbits(kappa, gamma, fracs, rel_tol):
+def _figure1_orbits(kappa, gamma, fracs):
     import numpy as np
 
     hp = closed_forms.hopf_threshold(kappa, gamma)
@@ -368,7 +367,7 @@ def _figure1_orbits(kappa, gamma, fracs, rel_tol):
                 "period": float("nan"),
             })
             continue
-        pred, orbit, _, radius = _collocated_cycle(kappa, gamma, deps, rel_tol)
+        pred, orbit, _, radius = _collocated_cycle(kappa, gamma, deps)
         ts = np.linspace(0.0, orbit.period, 61)  # 60 samples a period, as limit-cycle writes
         ts_h = np.linspace(0.0, 2.0 * math.pi / pred.omega_h, 241)
         panel.append({
@@ -384,7 +383,7 @@ def _figure1_orbits(kappa, gamma, fracs, rel_tol):
 def _run_figure1(p: dict, out: _Outputs) -> None:
     from .semiclassics import TRAJECTORY_HEADER
 
-    tasks = [(k, g, tuple(p["delta_eps_fracs"]), p["rel_tol"]) for k, g in p["pairs"]]
+    tasks = [(k, g, tuple(p["delta_eps_fracs"])) for k, g in p["pairs"]]
     if p["jobs"] > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: a start-up cost
 
@@ -582,6 +581,8 @@ def _elements(text: str) -> list:
     labels = _names(text)
     if any(len(tok) != 2 or not set(tok) <= set("1234") for tok in labels):
         raise ValueError("labels are two digits from 1 to 4")
+    if len(set(labels)) < len(labels):  # a repeat would write its columns twice
+        raise ValueError("a label repeats")
     return [(int(tok[0]) - 1, int(tok[1]) - 1) for tok in labels]
 
 
@@ -646,7 +647,7 @@ _OPTIONS = (
     _Option("simulate", "--alpha0", _complex, "0"),
     _Option("simulate", "--t-final", _float, 100.0, *_POSITIVE),
     _Option("simulate", "--n-samples", int, 2000, lambda v: v >= 1, "must be >= 1"),
-    _Option("simulate limit-cycle figure1", "--rel-tol", _float, 1e-9),
+    _Option("simulate", "--rel-tol", _float, 1e-9),
     _Option("simulate", "--abs-tol", _float, 1e-12),
     _Option("limit-cycle phase-diffusion", "--delta-eps", _float, None, *_POSITIVE),
     _Option("sweep", "--delta-eps", _float, 0.0, help="required > 0 for d_phi"),
@@ -673,7 +674,9 @@ _OPTIONS = (
     _Option("figure1", "--delta-eps-fracs", _floats, "0.05,0.1,0.2",
             lambda v: v and min(v) >= 0, "must be non-empty and >= 0",
             help="fractions of epsilon_h"),
-    _Option("figure2", "--eps-list", _floats, "0.01,0.05,0.13", *_NON_EMPTY,
+    _Option("figure2", "--eps-list", _floats, "0.01,0.05,0.13",
+            lambda v: v and len({f"{eps:g}" for eps in v}) == len(v),  # one file per label
+            "must be non-empty drives distinct to 6 significant digits",
             help="comma-separated drives"),
     _Option("figure1 figure2", "--gnuplot", _switch, False,
             help="emit a plot script with the data instead of SVG"),

@@ -158,14 +158,13 @@ def _tail(beta_r) -> float:
     return float(np.max(c[k // 2 + 1:]) / np.max(c))
 
 
-def limit_cycle(pred: cm.LimitCyclePrediction, params: SystemParams,
-                rel_tol: float = 1e-9) -> PeriodicOrbit:
+def limit_cycle(pred: cm.LimitCyclePrediction, params: SystemParams) -> PeriodicOrbit:
     """The limit cycle of the flow at ``params`` that it settles on from ``pred.orbit(0)``.
 
     ``pred`` is the centre-manifold prediction at the drive of ``params``.
     Integrates ``SETTLE_PERIODS`` predicted periods from its orbit at
-    tolerance ``rel_tol``, seeds the collocation with the last full
-    period between section crossings and solves it at ``FIRST_MODES``
+    ``integrate``'s default tolerances, seeds the collocation with the last
+    full period between section crossings and solves it at ``FIRST_MODES``
     nodes, then at 2N + 1 nodes, until the beta_r spectrum's tail is below
     ``TAIL_TOLERANCE``; where Newton fails at some N, the next N is seeded
     afresh from the settled period.  Raises ``NumericalError`` when the
@@ -192,8 +191,7 @@ def limit_cycle(pred: cm.LimitCyclePrediction, params: SystemParams,
         raise below_floor("predicted", pred.amplitude_beta_r)
     # rounded as detect_limit_cycle rounds its floor of 10 candidate periods
     settle = SETTLE_PERIODS * (2.0 * math.pi / pred.omega_h)
-    traj = integrate(start, params, (0.0, settle), rel_tol=rel_tol,
-                     n_samples=60 * SETTLE_PERIODS)
+    traj = integrate(start, params, (0.0, settle), n_samples=60 * SETTLE_PERIODS)
     crossings = detect_limit_cycle(traj, transient_fraction=0.0).crossing_times
     if len(crossings) < 2:
         raise NumericalError(f"the flow crossed the section beta_r = 0 {len(crossings)} times "
@@ -240,8 +238,9 @@ def floquet_multipliers(orbit: PeriodicOrbit) -> np.ndarray:
     return mu[np.argsort(np.abs(mu - 1.0))]
 
 
-def closure(orbit: PeriodicOrbit, rel_tol: float) -> float:
-    """Relative return error of one DOP853 period from the first node: a second route."""
+def closure(orbit: PeriodicOrbit) -> float:
+    """Relative return error of one DOP853 period from the first node, at
+    ``integrate``'s default tolerances: a second route."""
     start = orbit.nodes[0]
-    end = integrate(start, orbit.params, (0.0, orbit.period), rel_tol=rel_tol, n_samples=2).y[-1]
+    end = integrate(start, orbit.params, (0.0, orbit.period), n_samples=2).y[-1]
     return float(np.max(np.abs(end - start)) / np.max(np.abs(orbit.nodes)))

@@ -351,9 +351,6 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
 class LimitCycleMeasurement:
     period: float
     amplitude_beta_r: float
-    amplitude_alpha_r: float
-    mean_beta_i: float
-    mean_alpha_i: float
     converged: bool
     crossing_times: np.ndarray
 
@@ -377,7 +374,7 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     segment, so that integration noise about a stable fixed point,
     however regular, is never a cycle.
 
-    Returns ``converged=False`` with nan period and zero amplitudes when
+    Returns ``converged=False`` with nan period and zero amplitude when
     fewer than two crossings are found (fixed-point regime).
     """
     if not (0.0 <= transient_fraction < 1.0):
@@ -415,7 +412,7 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
         side = np.sign(traj.dense(mid)[0]) * start_sign
         lo, hi = np.where(side >= 0.0, mid, lo), np.where(side > 0.0, hi, mid)
     tc = 0.5 * (lo + hi)
-    period, amplitude, amplitude_ar, converged = math.nan, 0.0, 0.0, False
+    period, amplitude, converged = math.nan, 0.0, False
     if len(tc) >= 2:
         period = float(np.mean(np.diff(tc)))
         states = traj.dense(tc).T
@@ -423,7 +420,6 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
         # ~0 at every crossing and must not wreck the relative comparison.
         scale = np.max(np.abs(ys), axis=0)
         amplitude = 0.5 * float(br.max() - br.min())
-        amplitude_ar = 0.5 * float(ar.max() - ar.min())
         swings = amplitude > CYCLE_AMPLITUDE_FLOOR * scale.max()
         scale[scale == 0.0] = 1.0
         rel_jump = np.max(np.abs(np.diff(states, axis=0)) / scale, axis=1)
@@ -432,9 +428,6 @@ def detect_limit_cycle(traj: Trajectory, transient_fraction: float = 0.5) -> Lim
     return LimitCycleMeasurement(
         period=period,
         amplitude_beta_r=amplitude,
-        amplitude_alpha_r=amplitude_ar,
-        mean_beta_i=float(np.mean(ys[:, 1])),
-        mean_alpha_i=float(np.mean(ys[:, 3])),
         converged=converged,
         crossing_times=tc,
     )

@@ -282,9 +282,10 @@ class PhaseRecord:
     def variance(self) -> np.ndarray:
         """Variance across members of the phase change; kept for the fit and the CSV writer."""
         var = np.empty(self.phases.shape[1])
-        for cols, y in self._centred_blocks():
-            y *= y
-            var[cols] = y.sum(axis=0) / (self.phases.shape[0] - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the fit, not warned
+            for cols, y in self._centred_blocks():
+                y *= y
+                var[cols] = y.sum(axis=0) / (self.phases.shape[0] - 1)
         return var
 
 
@@ -462,7 +463,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     var = record.variance
     if not np.isfinite(var).all():
         raise NumericalError("the phase variance is not finite: a member's phase is NaN or "
-                             "infinite")
+                             "infinite, or the phases' squared spread leaves the float range")
     d_hat = float((var @ t) / (t @ t))
     # Identical (noise-free) members leave only summation dust in var.
     floor = (1e-12 * max(1.0, float(max(record.phases.max(), -record.phases.min())))) ** 2

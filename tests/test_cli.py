@@ -86,6 +86,12 @@ class TestExitCodes:
         ["figure1", "--jobs", "0"],
         ["hopf", "--seed", "-1"],
         ["hopf", "--seed", str(2**64)],
+        # both drives format as eps=0.05, so the second file overwrote the first
+        ["figure2", "--eps-list", "0.05,0.0500000001"],
+        ["spectrum", "--elements", "11,11"],  # wrote the S11 columns twice
+        # the collocation sets the cycle's accuracy, not the settling run's tolerance
+        ["limit-cycle", "--delta-eps", "0.01", "--rel-tol", "1e-9"],
+        ["figure1", "--rel-tol", "1e-9"],
     ])
     def test_usage_errors_exit_1(self, args, tmp_path):
         args = with_config_files(args, tmp_path)
@@ -178,6 +184,9 @@ class TestExitCodes:
           "--n-ensemble", "100", "--t-final", "5"], ("R^2", "variance")),
         (["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "1e154",
           "--n-ensemble", "100", "--t-final", "0.1"], ("stderr", "variance")),
+        # the variance itself overflows; numpy's RuntimeWarning was a second line
+        (["phase-diffusion", "--delta-eps", "0.05", "--noise-scale", "1e305",
+          "--n-ensemble", "100", "--t-final", "5"], ("variance is not finite",)),
         # D_phi = 0.26 kappa/delta_epsilon overflows; the row read inf, with exit 0
         (["sweep", "--kappa-grid", "1e100:1e100:1", "--gamma-grid", "0:0:1",
           "--quantities", "d_phi", "--delta-eps", "1e-300"], ("d_phi", "delta_epsilon=1e-300")),
@@ -189,6 +198,7 @@ class TestExitCodes:
             "ensemble_dt", "ensemble_n_ensemble", "ensemble_burn_in", "ensemble_step_overflow",
             "spectrum_width_overflow", "figure2_width_overflow", "reduced_radius_overflow",
             "phase_variance_tiny_drive", "phase_variance_noise_scale", "phase_stderr_overflow",
+            "phase_variance_overflow",
             "sweep_d_phi_overflow", "limit_cycle_amplitude_overflow"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])

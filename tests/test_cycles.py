@@ -60,7 +60,7 @@ class TestCollocation:
 
     @pytest.mark.parametrize("kappa, gamma", FIGURE1_PAIRS)
     def test_closure_by_integration(self, near_threshold, kappa, gamma):
-        assert cycles.closure(near_threshold[(kappa, gamma)], 1e-9) <= 1e-6
+        assert cycles.closure(near_threshold[(kappa, gamma)]) <= 1e-6
 
     @pytest.mark.parametrize("kappa, gamma", FIGURE1_PAIRS)
     def test_collocation_equations_hold_between_nodes(self, near_threshold, kappa, gamma):
@@ -86,7 +86,36 @@ class TestCollocation:
         mu = cycles.floquet_multipliers(orbit)
         assert abs(mu[0] - 1.0) <= 1e-6
         assert np.all(np.abs(mu[1:]) < 1.0)
-        assert cycles.closure(orbit, 1e-9) <= 1e-6
+        assert cycles.closure(orbit) <= 1e-6
+
+    # a second route for the multipliers: the eigenvalues of the monodromy matrix
+    @pytest.mark.parametrize("kappa, gamma", FIGURE1_PAIRS)
+    def test_hill_multipliers_are_monodromy_eigenvalues(self, near_threshold, kappa, gamma):
+        assert_hill_matches_monodromy(near_threshold[(kappa, gamma)])
+
+    def test_far_drive_hill_multipliers_are_monodromy_eigenvalues(self):
+        with pytest.warns(UserWarning, match="0.2"):
+            orbit = collocate(1.0, 0.0, 6.5)  # N = 255
+        assert_hill_matches_monodromy(orbit)
+
+
+def assert_hill_matches_monodromy(orbit):
+    """Each Hill multiplier lies within 1e-10 of an eigenvalue of the monodromy matrix,
+    integrated with dPhi/dt = J(x) Phi over one period from the first node by scipy."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, z):
+        x, phi = z[:4], z[4:].reshape(4, 4)
+        return np.concatenate([vector_field(x, orbit.params),
+                               (jacobian(x, orbit.params) @ phi).ravel()])
+
+    start = np.concatenate([orbit.nodes[0], np.eye(4).ravel()])
+    sol = solve_ivp(rhs, (0.0, orbit.period), start, method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    monodromy = np.linalg.eigvals(sol.y[4:, -1].reshape(4, 4))
+    hill = cycles.floquet_multipliers(orbit)
+    gaps = np.min(np.abs(hill[:, None] - monodromy[None, :]), axis=1)
+    assert np.all(gaps <= 1e-10), (hill, monodromy)
 
 
 def test_jacobian_of_batched_states_is_the_vector_fields():
