@@ -7,7 +7,8 @@ chunks of ``_CHUNK`` steps as the chain advances, so a run holds its
 recorded output plus one chunk of noise, never the whole noise record.
 Each chain supplies only its advance: the linearized chain is linear in its
 state, so it advances by blocks of ``_BLOCK`` steps, one matrix product per
-block; the nonlinear reduced and full modes advance one step at a time.
+block; the reduced mode steps the phase alone and the nonlinear full mode
+its 4-dim state, one step at a time.
 The phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
 
 Reproducibility contract: every ensemble member draws from its own
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center_manifold import predict_limit_cycle, radial_growth_rate, lyapunov_coefficient
+from .center_manifold import predict_limit_cycle, radial_growth_rate
 from .closed_forms import hopf_frequency, hopf_threshold, normal_form_rows
 from .csvio import write_csv
 from .errors import DomainError, NumericalError
@@ -255,7 +256,7 @@ def estimate_psd(paths: np.ndarray, dt: float, omega_ref: float = None):
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """Unwrapped on-cycle phases, one row per surviving ensemble member."""
+    """Unwrapped on-cycle phases, one row per ensemble member; ``excluded`` is always 0."""
 
     times: np.ndarray
     phases: np.ndarray
@@ -291,20 +292,16 @@ class PhaseRecord:
 
 def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                                config: SDEConfig, mode: str = "reduced",
-                               noise_scale: float = 1.0,
-                               radial_noise: bool = False) -> PhaseRecord:
+                               noise_scale: float = 1.0) -> PhaseRecord:
     """Phase noise on the limit cycle at drive epsilon_h + delta_epsilon.
 
-    mode="reduced" integrates the planar normal-form pair
-        dr = (d*deps*r + a*r^3) dt [+ sqrt(s'/2) dW_r]
+    mode="reduced" integrates the normal form's phase equation
         dphi = omega_h dt + (1/A) sqrt(s'/2) dW_phi
-    with s' = noise_scale * s and s = 1/kappa the on-cycle intensity.
-    The radial noise term is opt-in: at the physical intensity it
-    dwarfs the radial confinement for any moderate delta_epsilon and
-    knocks every member off the cycle, so the default simulates the
-    on-cycle phase equation with deterministic radial relaxation.
-    With ``radial_noise`` enabled, members whose radius collapses to
-    zero are flagged and excluded; mode="full" rejects it.
+    with s' = noise_scale * s and s = 1/kappa the on-cycle intensity, on
+    the cycle's amplitude A.  It holds where the radial relaxation, at
+    rate 2*d*delta_epsilon, keeps the radius at A; a dt past that
+    relaxation's Euler stability limit, d*delta_epsilon*dt >= 1, raises
+    NumericalError before anything is drawn.
 
     mode="full" integrates the 4-dim semiclassical flow with the same
     white noise injected along the center-plane directions of the
@@ -312,7 +309,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     the inverse transform; both maps are read once per run.  The realized
     rotation makes this phase decrease at |omega_h| for this flow's
     orientation; only the variance growth enters the diffusion fit.  A
-    member that overflows (too large a ``noise_scale``) raises
+    member that overflows (too large a ``dt`` or ``noise_scale``) raises
     NumericalError.
 
     The fitted slope scales linearly in the injected intensity, so runs
@@ -325,8 +322,6 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         raise DomainError(f"delta_epsilon must be > 0, got {delta_epsilon}")
     if mode not in ("reduced", "full"):
         raise DomainError(f"mode must be 'reduced' or 'full', got {mode!r}")
-    if radial_noise and mode == "full":
-        raise DomainError("radial_noise applies to mode='reduced' only")
     if noise_scale < 0:
         raise DomainError(f"noise_scale must be >= 0, got {noise_scale}")
     kappa, gamma = params.kappa, params.gamma
@@ -358,30 +353,25 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     times = np.arange(config.n_steps + 1) * dt
 
     if mode == "reduced":
-        d = radial_growth_rate(kappa, gamma)
-        a = lyapunov_coefficient(kappa, gamma)
-        sig_r = sig if radial_noise else 0.0
+        relaxation = radial_growth_rate(kappa, gamma) * delta_epsilon * dt
+        if not relaxation < 1.0:
+            raise NumericalError(
+                f"the radial relaxation's Euler step is unstable at dt={dt:g}, "
+                f"delta_epsilon={delta_epsilon:g} (d*delta_epsilon*dt = {relaxation:.4g} >= 1); "
+                "a smaller dt keeps the radius at the cycle")
 
-        def advance(state, xi, dest):
-            r, phi, alive = state
-            r = r + dt * (d * delta_epsilon * r + a * r**3) + sig_r * sq * xi[:, 0, 0]
+        def advance(phi, xi, dest):
+            # xi[:, 0, 0] is drawn and not read, so each (seed, member) keeps its path
             phi = phi + dt * om_h + (sig / A_amp) * sq * xi[:, 0, 1]
             if dest is not None:
                 dest[:, 0] = phi
-            return r, phi, alive & (r > 0.0)
+            return phi
 
-        # a radius that overflows stays non-finite, so the final radii show them all
+        # an overflowing phase reaches the fit, which refuses a non-finite variance
         with np.errstate(over="ignore", invalid="ignore"):
-            (r, _, alive), phases = _euler_maruyama(
-                config, lambda rows: (np.full(rows, A_amp), np.zeros(rows), np.ones(rows, bool)),
-                advance, lambda state: state[1])
-        overflowed = n - int(np.isfinite(r[:n]).sum())
-        if overflowed:
-            raise NumericalError(f"{overflowed} of {n} reduced-mode radii overflowed at dt={dt:g}, "
-                                 f"delta_epsilon={delta_epsilon:g}; a smaller dt keeps them finite")
-        excluded = int(n - alive[:n].sum())
-        return PhaseRecord(times=times, phases=phases[alive[:n]] if excluded else phases,
-                           excluded=excluded, noise_scale=noise_scale, config=config)
+            _, phases = _euler_maruyama(config, np.zeros, advance, lambda phi: phi)
+        return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
+                           config=config)
 
     # full mode
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
@@ -414,9 +404,9 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                                     advance, unwrapped_phase)
     overflowed = n - int(np.isfinite(y[:n]).all(axis=1).sum())
     if overflowed:
-        raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at "
-                             f"noise_scale={noise_scale:g}; a smaller noise_scale keeps them "
-                             "near the cycle")
+        raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at dt={dt:g}, "
+                             f"noise_scale={noise_scale:g}; a smaller dt or noise_scale keeps "
+                             "them near the cycle")
     phases -= phases[:, :1].copy()  # with a view of phases itself, numpy would copy all of it
     return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                        config=config)
@@ -458,7 +448,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
         raise DomainError(f"n_bootstrap must be >= 2 for a standard error, got {n_bootstrap}")
     n = record.phases.shape[0]
     if n < 100:
-        raise DomainError(f"need >= 100 surviving members, got {n}")
+        raise DomainError(f"need >= 100 ensemble members, got {n}")
     t = record.times
     var = record.variance
     if not np.isfinite(var).all():

@@ -97,7 +97,7 @@ class TestExitCodes:
         args = with_config_files(args, tmp_path)
         r = run_cli(args + ["--out", str(tmp_path)] if args[0] != "no-such-command" else args)
         assert r.returncode == 1, r.stderr
-        assert "Traceback" not in r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
     # one grid past the cap is refused before its list is built, and two
     # grids whose product is past it before any point is evaluated
@@ -173,7 +173,7 @@ class TestExitCodes:
         (["spectrum", "--omega-min=-1e308", "--omega-max", "1e308"], ("omega_min", "omega_max")),
         (["figure2", "--omega-min=-1e308", "--omega-max", "1e308", "--eps-list", "0.1"],
          ("omega_min", "omega_max")),
-        # the radial Euler step blows up; reported as no surviving members before
+        # past the radial relaxation's Euler limit; reported as no surviving members before
         (["phase-diffusion", "--delta-eps", "150", "--n-ensemble", "100", "--t-final", "5"],
          ("dt=", "delta_epsilon=150")),
         # squares of a finite phase variance overflow in the fit: R^2 was written as NaN
@@ -192,6 +192,14 @@ class TestExitCodes:
           "--quantities", "d_phi", "--delta-eps", "1e-300"], ("d_phi", "delta_epsilon=1e-300")),
         # A = sqrt(d delta_epsilon/|a|) overflows; once reported as a swing below the floor
         (["limit-cycle", "--delta-eps", "1e308"], ("A is inf", "delta_epsilon=1e+308")),
+        # a coarse step, not the zero noise, blows the full mode up; the message named
+        # only noise_scale, and --dt 0.001 runs
+        (["phase-diffusion", "--mode", "full", "--noise-scale", "0", "--delta-eps", "5",
+          "--n-ensemble", "100", "--t-final", "5"], ("dt=0.02", "noise_scale=0")),
+        # past the radial relaxation's Euler limit d*delta_epsilon*dt < 1 (53 at dt = 0.02),
+        # where rounding alone had not yet seeded the instability: exit 0
+        (["phase-diffusion", "--delta-eps", "60", "--n-ensemble", "100", "--t-final", "5"],
+         ("dt=0.02", "delta_epsilon=60")),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
             "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
@@ -199,7 +207,8 @@ class TestExitCodes:
             "spectrum_width_overflow", "figure2_width_overflow", "reduced_radius_overflow",
             "phase_variance_tiny_drive", "phase_variance_noise_scale", "phase_stderr_overflow",
             "phase_variance_overflow",
-            "sweep_d_phi_overflow", "limit_cycle_amplitude_overflow"])
+            "sweep_d_phi_overflow", "limit_cycle_amplitude_overflow", "full_mode_coarse_dt",
+            "reduced_relaxation_unstable"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr

@@ -107,11 +107,9 @@ class TestStreams:
         lambda cfg: simulate_linear_sde(MODEL, dataclasses.replace(cfg, n_ensemble=1),
                                         member_offset=2),
         lambda cfg: simulate_limit_cycle_noise(_P0, 0.05, cfg).phases,
-        lambda cfg: simulate_limit_cycle_noise(_P0, 0.001, cfg, noise_scale=0.05,
-                                               radial_noise=True).phases,
         lambda cfg: simulate_limit_cycle_noise(_P0, 0.05, cfg, mode="full",
                                                noise_scale=1e-3).phases,
-    ], ids=["linear", "linear-one-member", "reduced", "reduced-radial", "full"])
+    ], ids=["linear", "linear-one-member", "reduced", "full"])
     def test_chunked_noise_matches_whole_draw(self, run, monkeypatch):
         cfg = SDEConfig(dt=0.02, n_steps=1300, n_ensemble=6, seed=4, burn_in=22.0)
         assert 1100 > _CHUNK and 1300 > _CHUNK and 2400 % _CHUNK
@@ -254,19 +252,37 @@ def _pinned_cycle(mode, deps=0.05, n_ensemble=6, seed=42, burn_in=0.5, **kwargs)
      "1fefe0b496bdadf01c73e1be73e8ad86fdd410b464a1f6bc3e93d6b8dcd1d2b5", 0),
     (lambda: _pinned_cycle("reduced", burn_in=0.0),
      "69998aba571bc3c24176a799cfec0de86202cb7d2b14a640bbd5251a8cea0fd4", 0),
-    (lambda: _pinned_cycle("reduced", deps=0.001, n_ensemble=8, seed=3,
-                           noise_scale=0.05, radial_noise=True),
-     "46f71c58dbd1717c06d7fe4856a0508abe46a8899c1b8f0d32a38de358886f6b", 6),
     (lambda: _pinned_cycle("full", noise_scale=1e-3),
      "36ada7287092add69890448a4e042fe1f2bef7a0f5cd5862aaa40bac68bf8314", 0),
-], ids=["linear", "linear-offset", "reduced", "reduced-no-burn-in", "reduced-radial",
-        "full"])
+], ids=["linear", "linear-offset", "reduced", "reduced-no-burn-in", "full"])
 def test_pinned_ensemble_digest(run, digest, excluded):
     out = run()
     if excluded is not None:
         assert out.excluded == excluded
         out = out.phases
     assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == digest
+
+
+# t = tau/kappa and (beta, alpha) = kappa (beta', alpha') map the flow at
+# (kappa, gamma, epsilon) onto (1, gamma/kappa, epsilon/kappa^2), and the SDE
+# at (dt, noise_scale) onto (kappa dt, noise_scale/kappa^2); phases are unchanged.
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+@pytest.mark.parametrize("mode, noise_scale, phase_tol", [("reduced", 1.0, 0.0),
+                                                          ("full", 1e-3, 1e-11)])
+def test_kappa_rescaling(kappa, mode, noise_scale, phase_tol):
+    def run(k, scale):
+        cfg = SDEConfig(dt=0.01 / k, n_steps=2000, n_ensemble=100, seed=3, burn_in=0.1 / k)
+        deps = 0.1 * hopf_threshold(k, 0.05 * k).epsilon_h
+        return simulate_limit_cycle_noise(SystemParams(kappa=k, gamma=0.05 * k, epsilon=0.0),
+                                          deps, cfg, mode=mode, noise_scale=scale)
+
+    rec, unit = run(kappa, noise_scale * kappa**2), run(1.0, noise_scale)
+    if phase_tol:
+        assert np.max(np.abs(rec.phases - unit.phases)) <= phase_tol
+    else:
+        assert np.array_equal(rec.phases, unit.phases)
+    assert measure_phase_diffusion(rec).d_phi_hat == pytest.approx(
+        kappa * measure_phase_diffusion(unit).d_phi_hat, rel=1e-12, abs=0.0)
 
 
 def cycle_config(dt=0.02, t_final=60.0, n_ensemble=300, seed=42, burn_in=0.0):
@@ -366,14 +382,6 @@ class TestLimitCycleNoise:
         err = ratio * (fits[0].stderr / fits[0].d_phi_hat + fits[1].stderr / fits[1].d_phi_hat)
         assert abs(ratio - 2.0) <= 3.0 * err + 0.05
 
-    def test_radial_collapse_flagging(self):
-        p = SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0)
-        rec = simulate_limit_cycle_noise(p, 0.001, cycle_config(n_ensemble=150, seed=3),
-                                         mode="reduced", noise_scale=0.05,
-                                         radial_noise=True)
-        assert rec.excluded > 0
-        assert rec.phases.shape[0] == 150 - rec.excluded
-
     def test_weak_convergence_under_dt_halving(self):
         p = SystemParams(kappa=1.0, gamma=0.0, epsilon=0.0)
         fits = []
@@ -395,8 +403,6 @@ class TestLimitCycleNoise:
             simulate_limit_cycle_noise(p, -0.1, cycle_config())
         with pytest.raises(DomainError):
             simulate_limit_cycle_noise(p, 0.05, cycle_config(), mode="other")
-        with pytest.raises(DomainError, match="radial_noise"):
-            simulate_limit_cycle_noise(p, 0.05, cycle_config(), mode="full", radial_noise=True)
         for field in ("dt", "burn_in"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
