@@ -7,8 +7,10 @@ chunks of ``_CHUNK`` steps as the chain advances, so a run holds its
 recorded output plus one chunk of noise, never the whole noise record.
 Each chain supplies only its advance: the linearized chain is linear in its
 state, so it advances by blocks of ``_BLOCK`` steps, one matrix product per
-block; the reduced mode steps the phase alone and the nonlinear full mode
-its 4-dim state, one step at a time.
+block; the reduced mode (the phase alone) and the nonlinear full mode (its
+four state components, as four member arrays) take a whole chunk per call
+and loop over its steps, and the full mode records the wrapped angle of
+each step and unwraps the record once, in time order, after the run.
 The phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
 
 Reproducibility contract: every ensemble member draws from its own
@@ -223,8 +225,9 @@ def estimate_psd(paths: np.ndarray, dt: float, omega_ref: float = None):
 
     Parameters
     ----------
-    paths : ndarray, shape (n_paths, n_samples)
-        Stationary (post burn-in) segments, one row per path.
+    paths : real ndarray, shape (n_paths, n_samples)
+        Stationary (post burn-in) segments, one row per path; complex
+        paths raise DomainError.
     dt : float
         Sample spacing.
     omega_ref : float, optional
@@ -236,6 +239,9 @@ def estimate_psd(paths: np.ndarray, dt: float, omega_ref: float = None):
     (omega_grid, psd) : ndarray pair, frequencies ascending.
     """
     paths = np.atleast_2d(np.asarray(paths))
+    if np.iscomplexobj(paths):
+        raise DomainError("estimate_psd needs real paths: the two-sided estimate mirrors "
+                          "the half-spectrum of a real signal")
     n_samples = paths.shape[1]
     if omega_ref is not None:
         needed = 16.0 * 2.0 * math.pi / omega_ref
@@ -247,11 +253,12 @@ def estimate_psd(paths: np.ndarray, dt: float, omega_ref: float = None):
             )
     w = np.hanning(n_samples)
     wpow = float((w**2).sum())
-    X = np.fft.fft(paths * w, axis=1) * dt
-    psd = (np.abs(X) ** 2).mean(axis=0) / (2.0 * math.pi * dt * wpow)
-    omega = 2.0 * math.pi * np.fft.fftfreq(n_samples, d=dt)
-    order = np.argsort(omega)
-    return omega[order], psd[order]
+    X = np.fft.rfft(paths * w, axis=1) * dt
+    half = (np.abs(X) ** 2).mean(axis=0) / (2.0 * math.pi * dt * wpow)
+    # A real signal's power at -f is its power at f: frequencies -(n//2)..-1
+    # (the Nyquist bin of an even n among them) mirror bins n//2..1.
+    psd = np.concatenate([half[n_samples // 2:0:-1], half[:(n_samples + 1) // 2]])
+    return np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n_samples, d=dt)), psd
 
 
 @dataclass(frozen=True)
@@ -306,11 +313,16 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     mode="full" integrates the 4-dim semiclassical flow with the same
     white noise injected along the center-plane directions of the
     normal-form transform, and reads the phase as atan2(u, v) through
-    the inverse transform; both maps are read once per run.  The realized
+    the inverse transform; both maps are read once per run.  Each chunk of
+    noise is stepped in one call, the state held as its four component
+    arrays; the wrapped atan2 of every step is recorded, and after the run
+    each member's record is continued onto the nearest branch in time
+    order, the same sums as unwrapping step by step.  The realized
     rotation makes this phase decrease at |omega_h| for this flow's
     orientation; only the variance growth enters the diffusion fit.  A
     member that overflows (too large a ``dt`` or ``noise_scale``) raises
-    NumericalError.
+    NumericalError at the end of the first chunk in which it does, so a
+    run that blows up stops early.
 
     The fitted slope scales linearly in the injected intensity, so runs
     at reduced ``noise_scale`` (useful for the full mode, where the
@@ -361,15 +373,17 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                 "a smaller dt keeps the radius at the cycle")
 
         def advance(phi, xi, dest):
-            # xi[:, 0, 0] is drawn and not read, so each (seed, member) keeps its path
-            phi = phi + dt * om_h + (sig / A_amp) * sq * xi[:, 0, 1]
-            if dest is not None:
-                dest[:, 0] = phi
+            # xi[:, j, 0] is drawn and not read, so each (seed, member) keeps its path
+            for j in range(xi.shape[1]):
+                phi = phi + dt * om_h + (sig / A_amp) * sq * xi[:, j, 1]
+                if dest is not None:
+                    dest[:, j] = phi
             return phi
 
         # an overflowing phase reaches the fit, which refuses a non-finite variance
         with np.errstate(over="ignore", invalid="ignore"):
-            _, phases = _euler_maruyama(config, np.zeros, advance, lambda phi: phi)
+            _, phases = _euler_maruyama(config, np.zeros, advance, lambda phi: phi,
+                                        block=_CHUNK)
         return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                            config=config)
 
@@ -377,39 +391,64 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
     eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
     run = SystemParams(kappa=kappa, gamma=gamma, epsilon=eps)
     T, ((ur, ua), (vr, va)) = normal_form_rows(kappa, gamma)
-    # Columns of T give the (u, v) directions in the (beta_r, alpha_r) plane.
-    dir_u = np.array([T[0][0], 0.0, T[1][0], 0.0])
-    dir_v = np.array([T[0][1], 0.0, T[1][1], 0.0])
+    # Row 0 of T holds the beta_r components of the (u, v) directions, row 1
+    # their alpha_r components; beta_i and alpha_i take no noise.
+    (bu, bv), (au, av) = T
+    ss = sig * sq
 
-    phi = prev = None
-
-    def unwrapped_phase(y):
-        nonlocal phi, prev
-        ang = np.arctan2(ur * y[:, 0] + ua * y[:, 2], vr * y[:, 0] + va * y[:, 2])  # atan2(u, v)
-        # nearest-branch continuation from the previous sample
-        phi = ang if phi is None else phi + ((ang - prev + math.pi) % (2.0 * math.pi) - math.pi)
-        prev = ang
-        return phi
+    def angle(br, ar):
+        return np.arctan2(ur * br + ua * ar, vr * br + va * ar)  # atan2(u, v), wrapped
 
     def advance(y, xi, dest):
-        y = y + dt * vector_field(y, run) + sig * sq * (np.outer(xi[:, 0, 0], dir_u)
-                                                        + np.outer(xi[:, 0, 1], dir_v))
-        if dest is not None:
-            dest[:, 0] = unwrapped_phase(y)
-        return y
+        br, bi, ar, ai = y
+        for j in range(xi.shape[1]):
+            dbr, dbi, dar, dai = vector_field((br, bi, ar, ai), run)
+            x0, x1 = xi[:, j, 0], xi[:, j, 1]
+            br = br + dt * dbr + ss * (x0 * bu + x1 * bv)
+            bi = bi + dt * dbi
+            ar = ar + dt * dar + ss * (x0 * au + x1 * av)
+            ai = ai + dt * dai
+            if dest is not None:
+                dest[:, j] = angle(br, ar)
+        # An overflowed member stays non-finite, so the chunk's last state shows it.
+        finite = np.isfinite(br) & np.isfinite(bi) & np.isfinite(ar) & np.isfinite(ai)
+        overflowed = n - int(np.count_nonzero(finite[:n]))
+        if overflowed:
+            raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at "
+                                 f"dt={dt:g}, noise_scale={noise_scale:g}; a smaller dt or "
+                                 "noise_scale keeps them near the cycle")
+        return br, bi, ar, ai
 
-    # A member that overflows stays non-finite, so the final states show them all.
     with np.errstate(over="ignore", invalid="ignore"):
-        y, phases = _euler_maruyama(config, lambda rows: np.tile(pred.orbit(0.0)[0], (rows, 1)),
-                                    advance, unwrapped_phase)
-    overflowed = n - int(np.isfinite(y[:n]).all(axis=1).sum())
-    if overflowed:
-        raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at dt={dt:g}, "
-                             f"noise_scale={noise_scale:g}; a smaller dt or noise_scale keeps "
-                             "them near the cycle")
+        _, phases = _euler_maruyama(
+            config, lambda rows: tuple(np.full(rows, c) for c in pred.orbit(0.0)[0]),
+            advance, lambda y: angle(y[0], y[2]), block=_CHUNK)
+    _unwrap(phases)
     phases -= phases[:, :1].copy()  # with a view of phases itself, numpy would copy all of it
     return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                        config=config)
+
+
+def _unwrap(ang: np.ndarray) -> None:
+    """Continue each row of wrapped angles onto the nearest branch, in place.
+
+    Column k becomes ang[:, 0] + w_1 + ... + w_k, summed in that order, with
+    w_j = (ang[:, j] - ang[:, j-1] + pi) % 2pi - pi, the bits of a loop that
+    continues one step at a time.  The steps are wrapped a block of
+    ``_CHUNK`` columns at a time, from the last block back, so each block
+    still reads the raw angle before it and only one block is held beside
+    the record.
+    """
+    n, m = ang.shape
+    w = np.empty((n, min(_CHUNK, m)))
+    for end in range(m, 1, -_CHUNK):
+        start = max(1, end - _CHUNK)
+        step = np.subtract(ang[:, start:end], ang[:, start - 1:end - 1], out=w[:, :end - start])
+        step += math.pi
+        step %= 2.0 * math.pi
+        step -= math.pi
+        ang[:, start:end] = step
+    np.cumsum(ang, axis=1, out=ang)
 
 
 @dataclass(frozen=True)
@@ -439,9 +478,9 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
     fitted through the origin.  The standard error comes from an
     ensemble bootstrap: the ``n_bootstrap`` (>= 2) resamples of members are
     kept as a (n_bootstrap, n) matrix W of draw counts, so each resample's
-    variance follows from two matrix products with the centred phases,
-    block by block of time columns, and no resampled copy of the record
-    is built.  Sub-linear or saturating growth (R^2 < 0.9) raises
+    slope follows from one matrix product and one matrix-vector product
+    with the centred phases, block by block of time columns, and no
+    resampled copy of the record is built.  Sub-linear or saturating growth (R^2 < 0.9) raises
     NumericalError, as does a non-finite R^2 or standard error.
     """
     if n_bootstrap < 2:
@@ -474,9 +513,11 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
 
     # Resample b holds member i W[b, i] times (the same draws as indexing
     # the phase changes with them), so its sums of y and y^2 are W @ y and
-    # W @ y^2, taken a block of time columns at a time.  Centring y on the
-    # full-ensemble mean keeps the resampled means small, so the
-    # sum-of-squares variance loses no significant digits.
+    # W @ y^2, taken a block of time columns at a time.  Only the variance's
+    # dot with t is read, so W @ y^2 enters as W @ (y^2 @ t), one
+    # matrix-vector product.  Centring y on the full-ensemble mean keeps the
+    # resampled means small, so the sum-of-squares variance loses no
+    # significant digits.
     rng = member_rng(record.config.seed, _ANALYSIS_STREAM)
     W = np.empty((n_bootstrap, n))
     for b in range(n_bootstrap):
@@ -486,7 +527,7 @@ def measure_phase_diffusion(record: PhaseRecord, n_bootstrap: int = 200) -> Phas
         for cols, y in record._centred_blocks():
             mean = (W @ y) / n
             y *= y
-            boot_var_t += ((W @ y - n * mean**2) / (n - 1)) @ t[cols]
+            boot_var_t += (W @ (y @ t[cols]) - (n * mean**2) @ t[cols]) / (n - 1)
         stderr = float((boot_var_t / (t @ t)).std(ddof=1))
     _require_finite_fit("stderr", stderr, var)
     scale = record.noise_scale if record.noise_scale > 0 else 1.0

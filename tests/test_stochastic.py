@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from selfpulse import (
     to_normal_form,
 )
 from selfpulse import stochastic
+from selfpulse.closed_forms import normal_form_rows
+from selfpulse.semiclassics import vector_field
 from selfpulse.stochastic import (
     _ANALYSIS_STREAM,
     _CHUNK,
@@ -80,6 +83,64 @@ def _reference_bootstrap(record, n_bootstrap=200):
         var = dphi[rng.integers(0, n, size=n)].var(axis=0, ddof=1)
         boots[b] = (var @ t) / (t @ t)
     return float(boots.std(ddof=1))
+
+
+def _reference_cycle_noise(params, delta_epsilon, config, mode, noise_scale):
+    """Phase record of a per-step loop on whole per-member streams.
+
+    The reduced mode steps the phase; the full mode steps a (members, 4)
+    state and continues its phase onto the nearest branch after every step.
+    """
+    kappa, gamma = params.kappa, params.gamma
+    om_h = hopf_frequency(kappa, gamma)
+    sig = math.sqrt(noise_scale * (1.0 / kappa) / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pred = predict_limit_cycle(kappa, gamma, delta_epsilon)
+    A_amp = pred.amplitude_A
+    dt = config.dt
+    sq = math.sqrt(dt)
+    n, n_steps = config.n_ensemble, config.n_steps
+    n_burn = int(round(config.burn_in / dt))
+    noise = np.stack([member_rng(config.seed, m).standard_normal((n_burn + n_steps, 2))
+                      for m in range(n)])
+
+    if mode == "reduced":
+        def step(phi, xi):
+            return phi + dt * om_h + (sig / A_amp) * sq * xi[:, 1]
+
+        state, observe = np.zeros(n), lambda phi: phi
+    else:
+        eps = hopf_threshold(kappa, gamma).epsilon_h + delta_epsilon
+        run = SystemParams(kappa=kappa, gamma=gamma, epsilon=eps)
+        T, ((ur, ua), (vr, va)) = normal_form_rows(kappa, gamma)
+        dir_u = np.array([T[0][0], 0.0, T[1][0], 0.0])
+        dir_v = np.array([T[0][1], 0.0, T[1][1], 0.0])
+        phi = prev = None
+
+        def observe(y):
+            nonlocal phi, prev
+            ang = np.arctan2(ur * y[:, 0] + ua * y[:, 2], vr * y[:, 0] + va * y[:, 2])
+            phi = ang if phi is None else phi + ((ang - prev + math.pi) % (2.0 * math.pi)
+                                                 - math.pi)
+            prev = ang
+            return phi
+
+        def step(y, xi):
+            return y + dt * vector_field(y, run) + sig * sq * (np.outer(xi[:, 0], dir_u)
+                                                               + np.outer(xi[:, 1], dir_v))
+
+        state = np.tile(pred.orbit(0.0)[0], (n, 1))
+    for k in range(n_burn):
+        state = step(state, noise[:, k])
+    out = np.empty((n, n_steps + 1))
+    out[:, 0] = observe(state)
+    for k in range(n_steps):
+        state = step(state, noise[:, n_burn + k])
+        out[:, k + 1] = observe(state)
+    if mode == "full":
+        out -= out[:, :1].copy()
+    return out
 
 
 def _whole_stream_chunks(seed, members, n_burn, n_steps):
@@ -213,6 +274,27 @@ class TestEstimatePsd:
         half_width = 0.5 * (om[above].max() - om[above].min())
         assert half_width == pytest.approx(lam, rel=0.05)
 
+    # fftfreq has no bin at +Nyquist, so an even count puts its Nyquist bin first.
+    @pytest.mark.parametrize("n_samples", [1024, 1025])
+    def test_matches_two_sided_fft(self, n_samples):
+        dt = 0.05
+        paths = np.random.default_rng(n_samples).standard_normal((25, n_samples))
+        om, psd = estimate_psd(paths, dt)
+        w = np.hanning(n_samples)
+        X = np.fft.fft(paths * w, axis=1) * dt
+        ref = (np.abs(X) ** 2).mean(axis=0) / (2.0 * math.pi * dt * float((w**2).sum()))
+        omega = 2.0 * math.pi * np.fft.fftfreq(n_samples, d=dt)
+        order = np.argsort(omega)
+        assert np.array_equal(om, omega[order])
+        # White paths have a flat spectrum, so every bin sits far above the
+        # transforms' rounding, which scales with the signal's norm.
+        np.testing.assert_allclose(psd, ref[order], rtol=1e-13, atol=0.0)
+
+    def test_complex_paths_refused(self):
+        with pytest.raises(DomainError, match="real paths") as err:
+            estimate_psd(np.ones((3, 64)) * (1.0 + 1.0j), 0.05)
+        assert len(str(err.value).splitlines()) == 1
+
     def test_segment_length_precondition(self):
         with pytest.raises(DomainError, match="16 periods"):
             estimate_psd(np.zeros((3, 100)), 0.01, omega_ref=1.0)
@@ -261,6 +343,34 @@ def test_pinned_ensemble_digest(run, digest, excluded):
         assert out.excluded == excluded
         out = out.phases
     assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == digest
+
+
+# n_steps = 1100 spans a chunk boundary, as do 1100 burn-in steps.
+@pytest.mark.parametrize("mode, noise_scale", [("reduced", 1.0), ("full", 1e-2)])
+@pytest.mark.parametrize("n_ensemble", [1, 7])
+@pytest.mark.parametrize("burn_in", [0.0, 22.0])
+def test_cycle_noise_matches_per_step_loop(mode, noise_scale, n_ensemble, burn_in):
+    cfg = SDEConfig(dt=0.02, n_steps=1100, n_ensemble=n_ensemble, seed=11, burn_in=burn_in)
+    assert cfg.n_steps > _CHUNK
+    p = SystemParams(kappa=1.0, gamma=0.05, epsilon=0.0)
+    rec = simulate_limit_cycle_noise(p, 0.05, cfg, mode=mode, noise_scale=noise_scale)
+    assert np.array_equal(rec.phases, _reference_cycle_noise(p, 0.05, cfg, mode, noise_scale))
+
+
+def test_full_mode_overflow_refused_after_first_chunk(monkeypatch):
+    drawn = []
+    chunks = stochastic._noise_chunks
+
+    def counted(*args):
+        for xi in chunks(*args):
+            drawn.append(xi.shape[1])
+            yield xi
+
+    monkeypatch.setattr(stochastic, "_noise_chunks", counted)
+    cfg = SDEConfig(dt=0.02, n_steps=4000, n_ensemble=100, seed=1, burn_in=10.0)
+    with pytest.raises(NumericalError, match="overflowed at dt=0.02, noise_scale=0;"):
+        simulate_limit_cycle_noise(_P0, 5.0, cfg, mode="full", noise_scale=0.0)
+    assert drawn == [500]  # the burn-in chunk alone, of five
 
 
 # t = tau/kappa and (beta, alpha) = kappa (beta', alpha') map the flow at
