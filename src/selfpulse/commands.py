@@ -779,18 +779,15 @@ def _replay_argv(args) -> list:
 
 @contextlib.contextmanager
 def _one_line_warnings(command: str):
-    """Print each warning the block raises as one stderr line, as ``sweep`` prints its own.
+    """Print each warning of a block that completes as one stderr line, as ``sweep`` does.
 
     The interpreter's warning filters still apply: ``-W error`` raises the
-    warning, and ``-W ignore`` leaves nothing to print.
+    warning, which ``main`` refuses in one line, and ``-W ignore`` prints nothing.
     """
     with warnings.catch_warnings(record=True) as log:
-        try:
-            yield
-        finally:
-            for w in log:
-                print(f"selfpulse {command}: {w.category.__name__}: {w.message}",
-                      file=sys.stderr)
+        yield
+    for w in log:
+        print(f"selfpulse {command}: {w.category.__name__}: {w.message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -829,6 +826,9 @@ def main(argv=None) -> int:
         return 1
     except (SelfPulseError, ArithmeticError) as exc:
         print(f"selfpulse {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except Warning as exc:  # promoted to an error by -W error or PYTHONWARNINGS=error
+        print(f"selfpulse {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

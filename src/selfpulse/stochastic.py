@@ -1,17 +1,17 @@
 """Monte-Carlo layer: linearized SDE ensembles and on-cycle phase noise.
 
 Every ensemble (linearized, reduced and full mode) is an Euler-Maruyama
-chain run by one driver, ``_euler_maruyama``, which owns the member list,
-the burn-in and the recorded columns, and draws the per-member normals in
-chunks of ``_CHUNK`` steps as the chain advances, so a run holds its
-recorded output plus one chunk of noise, never the whole noise record.
-Each chain supplies only its advance: the linearized chain is linear in its
-state, so it advances by blocks of ``_BLOCK`` steps, one matrix product per
-block; the reduced mode (the phase alone) and the nonlinear full mode (its
-four state components, as four member arrays) take a whole chunk per call
-and loop over its steps, and the full mode records the wrapped angle of
-each step and unwraps the record once, in time order, after the run.
-The phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
+chain run by one driver, ``_euler_maruyama``, which owns the burn-in and
+the recorded columns, and draws the per-member normals in chunks of
+``_CHUNK`` steps as the chain advances, so a run holds its recorded output
+plus one chunk of noise, never the whole noise record.  Each chain supplies
+only its start and its advance, which takes a whole chunk per call: the
+linearized chain is linear in its state, so it steps by blocks of ``_BLOCK``
+steps, one matrix product per block; the reduced mode (the phase alone) and
+the nonlinear full mode (its four state components, as four member arrays)
+loop over the chunk's steps, and the full mode records the wrapped angle of
+each step and unwraps the record once, in time order, after the run.  The
+phase-diffusion fit likewise sums over blocks of ``_CHUNK`` time columns.
 
 Reproducibility contract: every ensemble member draws from its own
 Philox4x64 stream with key = seed and counter high word = member index,
@@ -75,36 +75,30 @@ def _noise_chunks(seed: int, members, n_burn: int, n_steps: int):
             yield xi
 
 
-def _euler_maruyama(config, start, advance, observe, shape=(), member_offset=0, block=1):
-    """Run members ``member_offset`` onwards through burn-in and ``config.n_steps`` steps.
+def _euler_maruyama(config, start, advance, observe=lambda state: state, members=None):
+    """Step ``members`` (by default the first ``config.n_ensemble``) through burn-in and the run.
 
     ``start(rows)`` is the initial state of ``rows`` members.  ``advance(state,
-    xi, dest)`` returns the state after the l <= ``block`` steps whose normals
-    are ``xi``, shape (rows, l, 2), row i drawn from member i's stream, and
+    xi, dest)`` returns the state after the l <= ``_CHUNK`` steps whose normals
+    are ``xi``, shape (rows, l, 2), row i drawn from members[i]'s stream, and
     records those l states in ``dest``, the next l columns of the output (None
-    during burn-in).  Column 0 holds ``observe(state)`` after burn-in.
-    Returns the final state of all rows and the members' output, shape
-    (n_ensemble, n_steps + 1, *shape).
+    during burn-in).  Column 0 holds ``observe(state)`` after burn-in, and
+    fixes the output's shape, (rows, n_steps + 1, *observe(state).shape[1:]).
+    Returns the output.
     """
-    n = config.n_ensemble
-    members = range(member_offset, member_offset + n)
-    # numpy hands a one-row product to gemv, which rounds unlike the gemm of
-    # a batch; a duplicate row, drawn from a second copy of the member's
-    # stream, keeps a lone member's bits equal to its batched ones.
-    if n == 1:
-        members = [member_offset] * 2
+    if members is None:
+        members = range(config.n_ensemble)
     n_burn = int(round(config.burn_in / config.dt))
     state = start(len(members))
-    out = np.empty((len(members), config.n_steps + 1, *shape))
     k = -n_burn  # recorded steps done
     for xi in _noise_chunks(config.seed, members, n_burn, config.n_steps):
         if k == 0:
-            out[:, 0] = observe(state)
-        for j in range(0, xi.shape[1], block):
-            l = min(block, xi.shape[1] - j)
-            state = advance(state, xi[:, j:j + l], out[:, k + 1:k + l + 1] if k >= 0 else None)
-            k += l
-    return state, out[:n]
+            first = observe(state)
+            out = np.empty((len(first), config.n_steps + 1, *first.shape[1:]))
+            out[:, 0] = first
+        state = advance(state, xi, out[:, k + 1:k + 1 + xi.shape[1]] if k >= 0 else None)
+        k += xi.shape[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,19 +182,26 @@ def simulate_linear_sde(model: LinearNoiseModel, config: SDEConfig,
     P, T = _linear_block_maps(np.eye(4) - config.dt * A.T, sqD * math.sqrt(config.dt), _BLOCK)
 
     def advance(x, xi, dest):
-        l = xi.shape[1]
-        noise = xi.reshape(len(xi), 2 * l)
-        if dest is None:  # burn-in needs only the last state of a block
-            last = slice(4 * l - 4, 4 * l)
-            return x @ P[:, last] + noise @ T[:2 * l, last]
-        block = dest.reshape(len(xi), 4 * l)  # a view: dest's columns are contiguous
-        np.matmul(noise, T[:2 * l, :4 * l], out=block)
-        block += x @ P[:, :4 * l]
-        return block[:, -4:]
+        for j in range(0, xi.shape[1], _BLOCK):
+            l = min(_BLOCK, xi.shape[1] - j)
+            noise = xi[:, j:j + l].reshape(len(xi), 2 * l)
+            if dest is None:  # burn-in needs only the last state of a block
+                last = slice(4 * l - 4, 4 * l)
+                x = x @ P[:, last] + noise @ T[:2 * l, last]
+                continue
+            block = dest[:, j:j + l].reshape(len(xi), 4 * l)  # a view: contiguous columns
+            np.matmul(noise, T[:2 * l, :4 * l], out=block)
+            block += x @ P[:, :4 * l]
+            x = block[:, -4:]
+        return x
 
-    _, out = _euler_maruyama(config, lambda rows: np.zeros((rows, 4)), advance, lambda x: x,
-                             shape=(4,), member_offset=member_offset, block=_BLOCK)
-    return out
+    n = config.n_ensemble
+    # numpy hands a one-row product to gemv, which rounds unlike the gemm of
+    # a batch; a duplicate row, drawn from a second copy of the member's
+    # stream, keeps a lone member's bits equal to its batched ones.
+    members = [member_offset] * 2 if n == 1 else range(member_offset, member_offset + n)
+    return _euler_maruyama(config, lambda rows: np.zeros((rows, 4)), advance,
+                           members=members)[:n]
 
 
 def stationary_covariance(model: LinearNoiseModel) -> np.ndarray:
@@ -382,8 +383,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
 
         # an overflowing phase reaches the fit, which refuses a non-finite variance
         with np.errstate(over="ignore", invalid="ignore"):
-            _, phases = _euler_maruyama(config, np.zeros, advance, lambda phi: phi,
-                                        block=_CHUNK)
+            phases = _euler_maruyama(config, np.zeros, advance)
         return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,
                            config=config)
 
@@ -412,7 +412,7 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
                 dest[:, j] = angle(br, ar)
         # An overflowed member stays non-finite, so the chunk's last state shows it.
         finite = np.isfinite(br) & np.isfinite(bi) & np.isfinite(ar) & np.isfinite(ai)
-        overflowed = n - int(np.count_nonzero(finite[:n]))
+        overflowed = n - int(np.count_nonzero(finite))
         if overflowed:
             raise NumericalError(f"{overflowed} of {n} full-mode members overflowed at "
                                  f"dt={dt:g}, noise_scale={noise_scale:g}; a smaller dt or "
@@ -420,9 +420,9 @@ def simulate_limit_cycle_noise(params: SystemParams, delta_epsilon: float,
         return br, bi, ar, ai
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _, phases = _euler_maruyama(
+        phases = _euler_maruyama(
             config, lambda rows: tuple(np.full(rows, c) for c in pred.orbit(0.0)[0]),
-            advance, lambda y: angle(y[0], y[2]), block=_CHUNK)
+            advance, lambda y: angle(y[0], y[2]))
     _unwrap(phases)
     phases -= phases[:, :1].copy()  # with a view of phases itself, numpy would copy all of it
     return PhaseRecord(times=times, phases=phases, excluded=0, noise_scale=noise_scale,

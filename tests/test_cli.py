@@ -1,17 +1,23 @@
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfpulse import __version__, cli, commands
 
@@ -200,6 +206,9 @@ class TestExitCodes:
         # where rounding alone had not yet seeded the instability: exit 0
         (["phase-diffusion", "--delta-eps", "60", "--n-ensemble", "100", "--t-final", "5"],
          ("dt=0.02", "delta_epsilon=60")),
+        # gamma > 0.1 kappa warns before the relaxation is refused: the warning was a
+        # second stderr line
+        (["phase-diffusion", "--gamma", "0.5", "--delta-eps", "1e6"], ("delta_epsilon=1e+06",)),
     ], ids=["overflow", "underflow", "samples", "sweep_underflow", "epsilon_h_subnormal",
             "epsilon_h_overflow", "sweep_epsilon_h_subnormal", "simulate_state_overflow",
             "simulate_drive_overflow", "rel_tol_below_floor", "fixed_point_cubic_overflow",
@@ -208,13 +217,21 @@ class TestExitCodes:
             "phase_variance_tiny_drive", "phase_variance_noise_scale", "phase_stderr_overflow",
             "phase_variance_overflow",
             "sweep_d_phi_overflow", "limit_cycle_amplitude_overflow", "full_mode_coarse_dt",
-            "reduced_relaxation_unstable"])
+            "reduced_relaxation_unstable", "warned_then_refused"])
     def test_arithmetic_and_sample_limits_exit_2(self, args, named, tmp_path):
         r = run_cli(args + ["--out", str(tmp_path)])
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
         for part in named:  # the message names the input to change
             assert part in r.stderr
+
+    def test_warning_promoted_to_error_exits_2(self, tmp_path):
+        # past 0.2 epsilon_h limit-cycle warns; raised as an error, it ended in a traceback
+        r = run_cli(["limit-cycle", "--delta-eps", "0.1", "--out", str(tmp_path)],
+                    env={"PYTHONWARNINGS": "error"})
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("selfpulse limit-cycle: UserWarning: delta_epsilon=0.1 ")
 
     # argparse's own pattern takes only -1 and -.5 for values, so these exited 1
     # with "expected one argument"
@@ -695,6 +712,95 @@ def test_grid_is_numpys_linspace(lo, hi, count):
     grid = commands._grid(f"{lo!r}:{hi!r}:{count}")
     expected = np.linspace(lo, hi, count).tolist()
     assert [v.hex() for v in grid] == [v.hex() for v in expected]
+
+
+def run_main(argv):
+    """``commands.main(argv)`` in this process: its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = commands.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+_EDGE_TEXTS = ["0", "-0.0", "5e-324", "2.2e-308", "1e300", "-1e300", "1e-300", "inf", "-inf",
+               "nan", "", "x", "1e", "0x10", "1_0", "1+2j"]
+# half the floats non-negative, since most options refuse a negative value
+_texts = st.one_of(st.floats().map(repr), st.floats(min_value=0.0).map(repr),
+                   st.sampled_from(_EDGE_TEXTS))
+# at most 3 x 3 points; a count of 0 is refused
+_ends = st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(repr), _texts)
+_grids = st.builds("{}:{}:{}".format, _ends, _ends, st.integers(0, 3))
+_quantities = st.lists(st.sampled_from([*commands._SWEEP_QUANTITIES, "nonsense"]), max_size=4)
+
+
+@st.composite
+def _closed_form_argv(draw):
+    command = draw(st.sampled_from(["fixed-point", "hopf", "sweep"]))
+    if command == "sweep":
+        options = draw(st.fixed_dictionaries(
+            {"--kappa-grid": _grids, "--gamma-grid": _grids},
+            optional={"--quantities": _quantities.map(",".join), "--delta-eps": _texts}))
+    else:
+        flags = ["--kappa", "--gamma"] + (["--epsilon"] if command == "fixed-point" else [])
+        options = draw(st.fixed_dictionaries({}, optional=dict.fromkeys(flags, _texts)))
+    if draw(st.booleans()):  # "--kappa=-inf": a value that looks like a flag stays a value
+        return [command, *(f"{flag}={text}" for flag, text in options.items())]
+    return [command, *(part for item in options.items() for part in item)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closed_form_argv(), st.sampled_from(["default", "error"]))  # as python -W
+def test_closed_form_commands_exit_0_1_or_2(argv, warning_action):
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter(warning_action)
+        code, err = run_main(argv + ["--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+# t = tau/kappa and (beta, alpha) = kappa (beta', alpha') map the model at
+# (kappa, kappa r) onto the model at (1, r); each reported quantity takes this
+# power of kappa, and d_phi does with delta_eps scaled by kappa^2.
+_KAPPA_POWERS = {"kappa": 1, "gamma": 1, "epsilon_h": 2, "omega_h": 1, "beta_i0h": 1,
+                 "alpha_i0h": 1, "a": 1, "a_numeric": 1, "eigenvalues_at_threshold": 1,
+                 "d": -1, "coefficients": -1, "trace_derivative": 0, "d_phi": -1}
+
+
+def _scaled(value, factor):
+    if isinstance(value, dict):
+        return {key: v * factor for key, v in value.items()}
+    if isinstance(value, list):
+        return [[v * factor for v in pair] for pair in value]
+    return value * factor
+
+
+# kappa a power of two, so the rescaled reports are equal, not only close;
+# r on both sides of 1 + sqrt(3)
+@pytest.mark.parametrize("r", [0.0, 0.1, 3.0, 100.0])
+def test_hopf_and_sweep_rescale_with_kappa(r, tmp_path):
+    def reports(kappa):
+        gamma = repr(kappa * r)
+        out = tmp_path / repr(kappa)
+        assert run_main(["hopf", "--kappa", repr(kappa), "--gamma", gamma,
+                         "--out", str(out)])[0] == 0
+        assert run_main(["sweep", "--kappa-grid", f"{kappa!r}:{kappa!r}:1",
+                         "--gamma-grid", f"{gamma}:{gamma}:1", "--delta-eps",
+                         repr(0.05 * kappa**2), "--quantities",
+                         ",".join(commands._SWEEP_QUANTITIES), "--out", str(out)])[0] == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        row = {key: float(v) for key, v in zip(*csv.reader(lines))}
+        return json.loads((out / "hopf.json").read_text()), row
+
+    hopf, row = reports(1.0)
+    assert set(hopf) | set(row) == set(_KAPPA_POWERS)
+    for kappa in (2.0, 0.5):
+        hopf_k, row_k = reports(kappa)
+        assert hopf_k == {key: _scaled(v, kappa ** _KAPPA_POWERS[key]) for key, v in hopf.items()}
+        assert row_k == {key: v * kappa ** _KAPPA_POWERS[key] for key, v in row.items()}
 
 
 _LIBRARY_NO_SCIPY = """

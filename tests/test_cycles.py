@@ -79,8 +79,9 @@ class TestCollocation:
         assert collocate(1.3, 0.2, 0.05).period > 0.0
 
     def test_far_drive_converges_stable(self):
-        # 6.5 epsilon_h at kappa = 1, gamma = 0: the long-period branch, below
-        # the fold near 7 epsilon_h where a second stable cycle appears
+        # delta_eps = 6.5 epsilon_h (epsilon = 7.5 epsilon_h) at kappa = 1, gamma = 0:
+        # inside the bistable window epsilon ~ 6.97-8.07 epsilon_h, where a
+        # short-period stable cycle coexists; the run reaches the long-period one
         with pytest.warns(UserWarning, match="0.2"):
             orbit = collocate(1.0, 0.0, 6.5)
         mu = cycles.floquet_multipliers(orbit)
